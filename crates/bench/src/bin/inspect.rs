@@ -2,7 +2,7 @@
 //! `tstorm --flight-recorder PATH`.
 //!
 //! ```text
-//! inspect RECORDING.jsonl [--section breakdown|heatmap|timeline|windows|lanes]...
+//! inspect RECORDING.jsonl [--section breakdown|heatmap|timeline|windows]...
 //! ```
 //!
 //! Reads the JSONL artifact back through [`tstorm_trace::parse_recording`]
@@ -16,20 +16,20 @@
 //!   pairs on completed tuples' critical paths),
 //! - the rebalance timeline (every `control` and `decision` line in
 //!   virtual-time order),
-//! - per-worker lane utilization (the `lanes` line written by runs
-//!   with `--workers` above 1: frames, events rendered, roots
-//!   decomposed and barrier stalls per observability lane).
+//! - the windowed cluster state (one row per `window` line).
 //!
-//! A missing, empty or versionless file exits non-zero with the
-//! parser's `no recording: …` message so CI can distinguish "nothing
-//! was recorded" from a rendering bug.
+//! Line types this version does not render — such as the `lanes` line
+//! older recordings carry — are skipped. Malformed arguments exit 2; a
+//! missing, empty or versionless file exits 1 with the parser's
+//! `no recording: …` message so CI can distinguish "nothing was
+//! recorded" from a rendering bug.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use tstorm_trace::{parse_recording, JsonValue, RecordedRun};
 
 /// Sections in render order; `--section` picks a subset.
-const SECTIONS: &[&str] = &["breakdown", "heatmap", "timeline", "windows", "lanes"];
+const SECTIONS: &[&str] = &["breakdown", "heatmap", "timeline", "windows"];
 
 /// Per-table row cap. A scale recording (100+ nodes, 10k+ executors)
 /// carries far more components/edges than a terminal table can hold;
@@ -61,24 +61,24 @@ fn main() -> ExitCode {
                 Some(s) if SECTIONS.contains(&s.as_str()) => sections.push(s),
                 Some(s) => {
                     eprintln!("error: unknown section `{s}` (expected one of {SECTIONS:?})");
-                    return ExitCode::FAILURE;
+                    return ExitCode::from(2);
                 }
                 None => {
                     eprintln!("error: --section requires a value");
-                    return ExitCode::FAILURE;
+                    return ExitCode::from(2);
                 }
             },
             "--help" | "-h" => {
                 println!(
                     "usage: inspect RECORDING.jsonl \
-                     [--section breakdown|heatmap|timeline|windows|lanes]..."
+                     [--section breakdown|heatmap|timeline|windows]..."
                 );
                 return ExitCode::SUCCESS;
             }
             other if path.is_none() && !other.starts_with('-') => path = Some(arg),
             other => {
                 eprintln!("error: unexpected argument `{other}`");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         }
     }
@@ -112,7 +112,6 @@ fn main() -> ExitCode {
             "heatmap" => render_heatmap(&run),
             "timeline" => render_timeline(&run),
             "windows" => render_windows(&run),
-            "lanes" => render_lanes(&run),
             _ => unreachable!("sections are validated at parse time"),
         };
         print!("{body}");
@@ -479,45 +478,6 @@ fn render_windows(run: &RecordedRun) -> String {
     out
 }
 
-/// Per-worker lane utilization from the `lanes` line written by
-/// frame-parallel runs: frames dispatched, trace events rendered, span
-/// roots decomposed and barrier stalls (frames in which the lane
-/// received no work) per observability lane.
-fn render_lanes(run: &RecordedRun) -> String {
-    let mut out = String::from("\n== lane utilization ==\n");
-    let lanes_lines = run.lines_of("lanes");
-    let Some(line) = lanes_lines.last() else {
-        out.push_str("  (no lanes line: run was recorded with --workers 1)\n");
-        return out;
-    };
-    let _ = writeln!(out, "  {} observability lane(s)", u(line, "workers"));
-    let Some(lanes) = line.get("lanes").and_then(JsonValue::as_array) else {
-        out.push_str("  (lanes line carries no per-lane stats)\n");
-        return out;
-    };
-    let _ = writeln!(
-        out,
-        "  {:>6} {:>10} {:>10} {:>8} {:>14} {:>10}",
-        "lane", "frames", "events", "roots", "barrier stalls", "busy"
-    );
-    for (i, lane) in lanes.iter().enumerate() {
-        let frames = u(lane, "frames");
-        let idle = u(lane, "idle_frames");
-        let busy = if frames == 0 {
-            0.0
-        } else {
-            100.0 * (frames - idle.min(frames)) as f64 / frames as f64
-        };
-        let _ = writeln!(
-            out,
-            "  {i:>6} {frames:>10} {:>10} {:>8} {idle:>14} {busy:>9.1}%",
-            u(lane, "events"),
-            u(lane, "roots"),
-        );
-    }
-    out
-}
-
 /// `obj[key]` as u64 (0 when absent or non-numeric).
 fn u(v: &JsonValue, key: &str) -> u64 {
     f(v, key) as u64
@@ -740,35 +700,6 @@ mod tests {
         assert!(!out.contains("busiest"), "{out}");
         let bd = render_breakdown(&recording());
         assert!(!bd.contains("rows dropped"), "{bd}");
-    }
-
-    #[test]
-    fn lanes_render_per_worker_utilization() {
-        let mut rec = FlightRecorder::new(Vec::new());
-        rec.meta(|o| {
-            o.str("scenario", "wordcount").u64("seed", 42);
-        });
-        rec.line("lanes", SimTime::from_secs(60), |o| {
-            o.u64("workers", 2).raw(
-                "lanes",
-                r#"[{"frames":10,"events":90,"roots":5,"idle_frames":2},{"frames":10,"events":40,"roots":0,"idle_frames":5}]"#,
-            );
-        });
-        let bytes = rec.into_inner().unwrap();
-        let run = parse_recording(&String::from_utf8(bytes).unwrap()).expect("parses");
-        let out = render_lanes(&run);
-        assert!(out.contains("2 observability lane(s)"), "{out}");
-        assert!(out.contains("barrier stalls"), "{out}");
-        // Lane 0: 10 frames, 2 idle -> 80% busy. Lane 1: 5 idle -> 50%.
-        assert!(out.contains("80.0%"), "{out}");
-        assert!(out.contains("50.0%"), "{out}");
-        assert!(out.contains("90"), "{out}");
-    }
-
-    #[test]
-    fn lanes_section_is_graceful_when_absent() {
-        let out = render_lanes(&recording());
-        assert!(out.contains("recorded with --workers 1"), "{out}");
     }
 
     #[test]

@@ -1,15 +1,12 @@
 //! `simbench` — offline, zero-dependency simulator benchmark runner.
 //!
-//! Criterion needs crates.io access, which this environment does not
-//! have, so the throughput trajectory is recorded by this std-only
-//! binary instead: it runs canonical scenarios against the tuple-level
-//! simulator with `std::time::Instant` timers and appends one JSON
-//! record per scenario to a trajectory file (`BENCH_sim.json` at the
-//! repo root by default).
+//! It runs canonical scenarios against the tuple-level simulator with
+//! `std::time::Instant` timers and appends one JSON record per scenario
+//! to a trajectory file (`BENCH_sim.json` at the repo root by default).
 //!
 //! ```text
 //! simbench [--out PATH] [--label TEXT] [--quick] [--scenario NAME]...
-//!          [--batch-size N[,N]...] [--workers N[,N]...] [--repeat K]
+//!          [--batch-size N[,N]...] [--repeat K]
 //!          [--guard BASELINE [--tolerance F]]
 //! simbench --check PATH
 //! ```
@@ -32,26 +29,23 @@
 //! same (scenario, batch size) in the baseline trajectory.
 //!
 //! `--batch-size 1,8` measures a transfer-batching A/B: every requested
-//! batch size runs per scenario. `--workers 1,4` measures the
-//! frame-synchronized parallel-stepping A/B the same way; because the
-//! lane threads only have work when observability is on, any grid that
-//! includes a workers value above 1 runs *every* arm with spans
-//! enabled, so workers-1 and workers-N cells differ only in the lane
-//! machinery. Such records carry `workers` and `spans` keys and are
-//! guarded separately from the spans-off baseline. `--repeat K`
-//! interleaves K passes over the full (batch size × workers ×
-//! scenario) grid — A/B/A/B rather than A…A/B…B, so slow machine drift
-//! biases neither arm — and keeps the best (highest events/s) run per
-//! (scenario, batch size, workers) cell.
+//! batch size runs per scenario. `--repeat K` interleaves K passes over
+//! the full (batch size × scenario) grid — A/B/A/B rather than
+//! A…A/B…B, so slow machine drift biases neither arm — and keeps the
+//! best (highest events/s) run per (scenario, batch size) cell.
+//!
+//! The committed trajectory also holds spans-on records from the
+//! retired frame-parallel `--workers` A/B (extra `workers`/`spans`
+//! keys); the guard skips them, since every fresh measurement is
+//! serial with spans off.
 
 use std::process::ExitCode;
 use std::time::Instant;
-use tstorm_bench::args::parse_workers;
 use tstorm_cli::args::ScaleClass;
 use tstorm_cli::scenario::{scale_chain_params, scale_cluster};
 use tstorm_cluster::ClusterSpec;
 use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
-use tstorm_sim::{FaultPlan, PairBackend};
+use tstorm_sim::FaultPlan;
 use tstorm_trace::json::{self, JsonValue, ObjectWriter};
 use tstorm_types::{Mhz, SimTime};
 use tstorm_workloads::chain;
@@ -96,15 +90,8 @@ struct Record {
     nodes: u32,
     slots_per_node: u32,
     batch_size: u32,
-    /// Observability lane threads (1 = serial) and whether spans were
-    /// collected. Extra keys beyond `SCHEMA_KEYS` — `--check` requires
-    /// every schema key but tolerates additions, so records predating
-    /// them (implicitly workers 1, spans off) stay valid.
-    workers: u32,
-    spans: bool,
-    /// Pair-traffic store A/B annotations, stamped only by the scale
-    /// scenarios.
-    pair_backend: Option<&'static str>,
+    /// High-water pair-traffic store footprint, stamped only by the
+    /// scale scenarios.
     pair_state_bytes: Option<u64>,
 }
 
@@ -126,11 +113,6 @@ impl Record {
             .u64("slots_per_node", u64::from(self.slots_per_node))
             .u64("batch_size", u64::from(self.batch_size))
             .str("workspace_version", env!("CARGO_PKG_VERSION"));
-        w.u64("workers", u64::from(self.workers));
-        w.raw("spans", if self.spans { "true" } else { "false" });
-        if let Some(backend) = self.pair_backend {
-            w.str("pair_backend", backend);
-        }
         if let Some(bytes) = self.pair_state_bytes {
             w.u64("pair_state_bytes", bytes);
         }
@@ -144,7 +126,6 @@ struct Options {
     quick: bool,
     scenarios: Vec<String>,
     batch_sizes: Vec<u32>,
-    workers: Vec<u32>,
     repeat: u32,
     check: Option<String>,
     guard: Option<String>,
@@ -158,7 +139,6 @@ fn parse_args() -> Result<Options, String> {
         quick: false,
         scenarios: Vec::new(),
         batch_sizes: vec![1],
-        workers: vec![1],
         repeat: 1,
         check: None,
         guard: None,
@@ -189,15 +169,6 @@ fn parse_args() -> Result<Options, String> {
                     return Err("--batch-size requires at least one value".to_owned());
                 }
             }
-            "--workers" => {
-                opts.workers = value("--workers")?
-                    .split(',')
-                    .map(|s| parse_workers(s.trim()).map_err(|e| format!("--workers: {e}")))
-                    .collect::<Result<Vec<u32>, String>>()?;
-                if opts.workers.is_empty() {
-                    return Err("--workers requires at least one value".to_owned());
-                }
-            }
             "--repeat" => {
                 opts.repeat = value("--repeat")?
                     .parse::<u32>()
@@ -218,8 +189,8 @@ fn parse_args() -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err("usage: simbench [--out PATH] [--label TEXT] [--quick] \
                      [--scenario wordcount|fault-replay|overload\
-                     |scale-{100,500}-{sparse,dense}]... \
-                     [--batch-size N[,N]...] [--workers N[,N]...] [--repeat K] \
+                     |scale-100-sparse|scale-500-sparse]... \
+                     [--batch-size N[,N]...] [--repeat K] \
                      [--guard BASELINE [--tolerance F]] | simbench --check PATH"
                     .to_owned())
             }
@@ -234,22 +205,6 @@ fn parse_args() -> Result<Options, String> {
 struct Cell {
     quick: bool,
     batch_size: u32,
-    /// Observability lane threads for frame-synchronized stepping.
-    workers: u32,
-    /// Span collection: forced on across the whole grid whenever a
-    /// workers A/B is requested, so the lane threads have real work
-    /// and the arms differ only in the lane machinery.
-    spans: bool,
-}
-
-impl Cell {
-    /// Applies the cell's engine knobs to a freshly built system.
-    fn apply(self, system: &mut TStormSystem) {
-        system.set_workers(self.workers);
-        if self.spans {
-            system.enable_spans();
-        }
-    }
 }
 
 /// Word Count at the paper's settings: the canonical throughput
@@ -263,7 +218,6 @@ fn run_wordcount(label: &str, cell: Cell) -> Record {
         .with_seed(seed);
     config.sim.batch_size = cell.batch_size;
     let mut system = TStormSystem::new(cluster, config).expect("valid config");
-    cell.apply(&mut system);
     let p = WordCountParams::paper();
     let topo = wordcount::topology(&p).expect("valid topology");
     let state = WordCountState::new();
@@ -314,7 +268,6 @@ fn run_overload(label: &str, cell: Cell) -> Record {
     config.sim.batch_size = cell.batch_size;
     config.sim.network.nic_bits_per_sec = 10_000_000;
     let mut system = TStormSystem::new(cluster, config).expect("valid config");
-    cell.apply(&mut system);
     let p = TransferParams::overload();
     let topo = transfer::topology(&p).expect("valid topology");
     let mut f = transfer::factory(&p, seed);
@@ -352,7 +305,6 @@ fn run_fault_replay(label: &str, cell: Cell) -> Record {
         .with_seed(seed);
     config.sim.batch_size = cell.batch_size;
     let mut system = TStormSystem::new(cluster, config).expect("valid config");
-    cell.apply(&mut system);
     let p = ThroughputParams::paper();
     let topo = throughput::topology(&p).expect("valid topology");
     let mut f = throughput::factory(&p, 42);
@@ -423,28 +375,16 @@ fn finish(
         nodes: provenance.nodes,
         slots_per_node: provenance.slots_per_node,
         batch_size: cell.batch_size,
-        workers: cell.workers,
-        spans: cell.spans,
-        pair_backend: None,
         pair_state_bytes: None,
     }
 }
 
-/// The `--scale` scenario family as a pair-backend A/B: the chain
-/// preset on the heterogeneous scale cluster (scale-100 is 100 nodes /
-/// 10,200 executors), run once per backend under distinct scenario
-/// names so the best-per-cell dedup and the overhead guard treat the
-/// arms as separate cells. Each record carries `pair_backend` and the
-/// high-water `pair_state_bytes`, which is the headline number: dense
-/// holds `Ne²` cells (~832 MB at scale-100) while sparse holds only
-/// the observed pairs.
-fn run_scale(
-    scenario: &'static str,
-    class: ScaleClass,
-    backend: PairBackend,
-    label: &str,
-    cell: Cell,
-) -> Record {
+/// The `--scale` scenario family: the chain preset on the
+/// heterogeneous scale cluster (scale-100 is 100 nodes / 10,200
+/// executors). Each record carries the high-water `pair_state_bytes`.
+/// The `-sparse` suffix names the pair store the committed baselines
+/// were measured with; it is the only store now.
+fn run_scale(scenario: &'static str, class: ScaleClass, label: &str, cell: Cell) -> Record {
     let duration = if cell.quick { 15 } else { 60 };
     let seed = 42;
     let cluster = scale_cluster(class).expect("valid cluster");
@@ -452,9 +392,7 @@ fn run_scale(
         .with_mode(SystemMode::TStorm)
         .with_seed(seed);
     config.sim.batch_size = cell.batch_size;
-    config.sim.pair_backend = backend;
     let mut system = TStormSystem::new(cluster, config).expect("valid config");
-    cell.apply(&mut system);
     let p = scale_chain_params(class);
     let topo = chain::topology(&p).expect("valid topology");
     let mut f = chain::factory(&p, seed);
@@ -478,12 +416,7 @@ fn run_scale(
             slots_per_node: class.slots(),
         },
     );
-    let stats = system.simulation().engine_stats();
-    rec.pair_backend = Some(match backend {
-        PairBackend::Dense => "dense",
-        PairBackend::Sparse => "sparse",
-    });
-    rec.pair_state_bytes = Some(stats.pair_state_bytes);
+    rec.pair_state_bytes = Some(system.simulation().engine_stats().pair_state_bytes);
     rec
 }
 
@@ -548,15 +481,13 @@ fn check(path: &str) -> Result<(), String> {
 
 /// The observability overhead guard: fresh measurements must stay
 /// within `tolerance` of the best committed events/s for the same
-/// (scenario, batch size, workers, spans) in `baseline_path`. Only
-/// baseline records with the *same* `quick` flag are comparable —
-/// quick runs carry proportionally more warmup, so their throughput
-/// sits well below a full run's. Baseline records predating the
-/// `batch_size` / `workers` / `spans` keys count as batch size 1,
-/// workers 1 and spans off (the engine's historical behaviour), so
-/// spans-on workers A/B cells never cross-match the spans-off serial
-/// baseline. A measurement whose cell has no committed baseline passes
-/// with a note — it IS the baseline.
+/// (scenario, batch size) in `baseline_path`. Only baseline records
+/// with the *same* `quick` flag are comparable — quick runs carry
+/// proportionally more warmup, so their throughput sits well below a
+/// full run's. Baseline records predating the `batch_size` key count as
+/// batch size 1; records of the retired workers A/B (`workers` above 1
+/// or `spans` on) are skipped. A measurement whose cell has no
+/// committed baseline passes with a note — it IS the baseline.
 fn guard(records: &[Record], baseline_path: &str, tolerance: f64) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
@@ -564,6 +495,10 @@ fn guard(records: &[Record], baseline_path: &str, tolerance: f64) -> Result<(), 
     let baseline = parsed
         .as_array()
         .ok_or_else(|| format!("{baseline_path}: top level must be an array"))?;
+    let serial_spans_off = |b: &&JsonValue| {
+        b.get("workers").and_then(JsonValue::as_f64).unwrap_or(1.0) == 1.0
+            && !matches!(b.get("spans"), Some(JsonValue::Bool(true)))
+    };
     let mut any_compared = false;
     for rec in records {
         let quick_matches =
@@ -575,27 +510,18 @@ fn guard(records: &[Record], baseline_path: &str, tolerance: f64) -> Result<(), 
                 .unwrap_or(1.0);
             batch == f64::from(rec.batch_size)
         };
-        let workers_matches = |b: &&JsonValue| {
-            let workers = b.get("workers").and_then(JsonValue::as_f64).unwrap_or(1.0);
-            workers == f64::from(rec.workers)
-        };
-        let spans_matches = |b: &&JsonValue| {
-            let spans = matches!(b.get("spans"), Some(JsonValue::Bool(true)));
-            spans == rec.spans
-        };
         let best = baseline
             .iter()
             .filter(|b| b.get("scenario").and_then(|s| s.as_str()) == Some(rec.scenario))
             .filter(quick_matches)
             .filter(batch_matches)
-            .filter(workers_matches)
-            .filter(spans_matches)
+            .filter(serial_spans_off)
             .filter_map(|b| b.get("events_per_sec").and_then(|v| v.as_f64()))
             .fold(f64::NAN, f64::max);
         if best.is_nan() {
             println!(
-                "guard: {:<14} batch={} workers={} has no committed baseline yet, skipping",
-                rec.scenario, rec.batch_size, rec.workers,
+                "guard: {:<14} batch={} has no committed baseline yet, skipping",
+                rec.scenario, rec.batch_size,
             );
             continue;
         }
@@ -603,11 +529,10 @@ fn guard(records: &[Record], baseline_path: &str, tolerance: f64) -> Result<(), 
         let floor = best * (1.0 - tolerance);
         if rec.events_per_sec < floor {
             return Err(format!(
-                "overhead guard: {} (batch={}, workers={}) ran at {:.0} events/s, more than \
+                "overhead guard: {} (batch={}) ran at {:.0} events/s, more than \
                  {:.0}% below the committed baseline {:.0} events/s (floor {:.0})",
                 rec.scenario,
                 rec.batch_size,
-                rec.workers,
                 rec.events_per_sec,
                 tolerance * 100.0,
                 best,
@@ -615,9 +540,9 @@ fn guard(records: &[Record], baseline_path: &str, tolerance: f64) -> Result<(), 
             ));
         }
         println!(
-            "guard: {:<14} batch={} workers={} {:>10.0} events/s vs baseline {:>10.0} \
+            "guard: {:<14} batch={} {:>10.0} events/s vs baseline {:>10.0} \
              (floor {:>10.0}) ok",
-            rec.scenario, rec.batch_size, rec.workers, rec.events_per_sec, best, floor,
+            rec.scenario, rec.batch_size, rec.events_per_sec, best, floor,
         );
     }
     if !any_compared {
@@ -661,105 +586,64 @@ fn main() -> ExitCode {
     } else {
         opts.scenarios.iter().map(String::as_str).collect()
     };
-    // The lane count is bounded by the scenario's cluster size, exactly
-    // like the CLI's workers ≤ nodes rule.
-    let scenario_nodes = |name: &str| -> Option<u32> {
-        Some(match name {
-            "wordcount" => 10,
-            "fault-replay" => 6,
-            "overload" => 2,
-            "scale-100-sparse" | "scale-100-dense" => 100,
-            "scale-500-sparse" | "scale-500-dense" => 500,
-            _ => return None,
-        })
-    };
+    // The scale family is opt-in (not part of the default set): a
+    // scale-100 run moves ~10k executors.
+    let scales = [
+        ("scale-100-sparse", ScaleClass::Scale100),
+        ("scale-500-sparse", ScaleClass::Scale500),
+    ];
     for name in &wanted {
-        let Some(nodes) = scenario_nodes(name) else {
+        if !all.contains(name) && !scales.iter().any(|(s, _)| s == name) {
             eprintln!(
                 "error: unknown scenario `{name}` (expected one of {all:?} \
-                 or scale-{{100,500}}-{{sparse,dense}})"
+                 or scale-{{100,500}}-sparse)"
             );
             return ExitCode::from(2);
-        };
-        for &workers in &opts.workers {
-            if workers > nodes {
-                eprintln!(
-                    "error: --workers {workers} exceeds the {nodes} worker nodes \
-                     of scenario `{name}`"
-                );
-                return ExitCode::from(2);
-            }
         }
     }
-    // The lane threads only have work when observability is on: any
-    // grid with a workers value above 1 runs spans across every arm so
-    // the A/B isolates the lane machinery (see the module docs).
-    let spans = opts.workers.iter().any(|w| *w > 1);
-    // Interleave the full (batch size × workers × scenario) grid per
-    // repetition — A/B/A/B rather than A…A/B…B — and keep the best
-    // (highest events/s) run per cell, so machine drift biases neither
-    // arm.
+    // Interleave the full (batch size × scenario) grid per repetition —
+    // A/B/A/B rather than A…A/B…B — and keep the best (highest
+    // events/s) run per cell, so machine drift biases neither arm.
     let mut best: Vec<Record> = Vec::new();
     for rep in 0..opts.repeat {
         for &batch_size in &opts.batch_sizes {
-            for &workers in &opts.workers {
-                let cell = Cell {
-                    quick: opts.quick,
-                    batch_size,
-                    workers,
-                    spans,
-                };
-                for name in &wanted {
-                    let scale = |s, c, b| run_scale(s, c, b, &opts.label, cell);
-                    let rec = match *name {
-                        "wordcount" => run_wordcount(&opts.label, cell),
-                        "fault-replay" => run_fault_replay(&opts.label, cell),
-                        "overload" => run_overload(&opts.label, cell),
-                        // The scale family is opt-in (not part of the
-                        // default set): a scale-100 run moves ~10k
-                        // executors and the dense arm materialises the
-                        // full Ne² matrix.
-                        "scale-100-sparse" => scale(
-                            "scale-100-sparse",
-                            ScaleClass::Scale100,
-                            PairBackend::Sparse,
-                        ),
-                        "scale-100-dense" => {
-                            scale("scale-100-dense", ScaleClass::Scale100, PairBackend::Dense)
-                        }
-                        "scale-500-sparse" => scale(
-                            "scale-500-sparse",
-                            ScaleClass::Scale500,
-                            PairBackend::Sparse,
-                        ),
-                        "scale-500-dense" => {
-                            scale("scale-500-dense", ScaleClass::Scale500, PairBackend::Dense)
-                        }
-                        other => unreachable!("scenario `{other}` was validated above"),
-                    };
-                    println!(
-                        "[{}/{}] {:<14} batch={:<3} workers={:<2} {:>10} events in {:>9.1} ms  \
-                         ->  {:>10.0} events/s  (peak queue {}, completed {})",
-                        rep + 1,
-                        opts.repeat,
-                        rec.scenario,
-                        rec.batch_size,
-                        rec.workers,
-                        rec.events,
-                        rec.wall_ms,
-                        rec.events_per_sec,
-                        rec.peak_queue_depth,
-                        rec.completed,
-                    );
-                    match best.iter_mut().find(|b| {
-                        b.scenario == rec.scenario
-                            && b.batch_size == rec.batch_size
-                            && b.workers == rec.workers
-                    }) {
-                        Some(b) if b.events_per_sec >= rec.events_per_sec => {}
-                        Some(b) => *b = rec,
-                        None => best.push(rec),
+            let cell = Cell {
+                quick: opts.quick,
+                batch_size,
+            };
+            for name in &wanted {
+                let rec = match *name {
+                    "wordcount" => run_wordcount(&opts.label, cell),
+                    "fault-replay" => run_fault_replay(&opts.label, cell),
+                    "overload" => run_overload(&opts.label, cell),
+                    other => {
+                        let (scenario, class) = scales
+                            .into_iter()
+                            .find(|(s, _)| *s == other)
+                            .expect("scenario validated above");
+                        run_scale(scenario, class, &opts.label, cell)
                     }
+                };
+                println!(
+                    "[{}/{}] {:<14} batch={:<3} {:>10} events in {:>9.1} ms  \
+                     ->  {:>10.0} events/s  (peak queue {}, completed {})",
+                    rep + 1,
+                    opts.repeat,
+                    rec.scenario,
+                    rec.batch_size,
+                    rec.events,
+                    rec.wall_ms,
+                    rec.events_per_sec,
+                    rec.peak_queue_depth,
+                    rec.completed,
+                );
+                match best
+                    .iter_mut()
+                    .find(|b| b.scenario == rec.scenario && b.batch_size == rec.batch_size)
+                {
+                    Some(b) if b.events_per_sec >= rec.events_per_sec => {}
+                    Some(b) => *b = rec,
+                    None => best.push(rec),
                 }
             }
         }

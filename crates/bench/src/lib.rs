@@ -18,9 +18,9 @@
 //! | Scheduler baselines (§III/§VI) | — | `baselines` |
 //! | Multi-topology scheduling (§IV-C's "M topologies") | — | `multi` |
 //!
-//! Criterion benches (`benches/`) cover Algorithm 1's `O(Ne log Ne +
-//! Ne·Ns)` scaling, scheduler-vs-scheduler runtime, and shortened
-//! versions of the figure experiments.
+//! `alg1bench` times every scheduler on the paper-sized problem and
+//! Algorithm 1's full versus incremental solve at scale; `simbench`
+//! measures the simulator's event throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

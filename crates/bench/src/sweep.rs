@@ -633,8 +633,7 @@ mod tests {
     fn trial_results_are_send() {
         // The thread-confinement contract: results cross threads;
         // systems stay inside their worker thread by convention (they
-        // are Send since the frame-parallel refactor, so the compiler
-        // no longer enforces it).
+        // are Send, so the compiler does not enforce it).
         fn assert_send<T: Send>() {}
         assert_send::<TrialResult>();
         assert_send::<TrialSpec>();

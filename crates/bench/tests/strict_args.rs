@@ -42,6 +42,8 @@ fn help_exits_zero_with_usage() {
         env!("CARGO_BIN_EXE_baselines"),
         env!("CARGO_BIN_EXE_tables"),
         env!("CARGO_BIN_EXE_sweep"),
+        env!("CARGO_BIN_EXE_alg1bench"),
+        env!("CARGO_BIN_EXE_inspect"),
     ] {
         let out = run(bin, &["--help"]);
         assert_eq!(out.status.code(), Some(0), "{bin} --help");
@@ -73,4 +75,138 @@ fn sweep_rejects_malformed_grid_flags() {
         assert_eq!(out.status.code(), Some(2), "sweep {args:?}");
         assert!(!out.stderr.is_empty(), "sweep {args:?} explains itself");
     }
+}
+
+#[test]
+fn alg1bench_rejects_malformed_and_infeasible_arguments() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["--iters", "0"], "--iters: `0` is not a positive integer"),
+        (&["--iters", "x"], "--iters: `x` is not a positive integer"),
+        (&["--nodes", "0"], "--nodes: `0` is not a positive integer"),
+        (&["--slots", "0"], "--slots: `0` is not a positive integer"),
+        (&["--ne", "1"], "not a valid executor count"),
+        (&["--fraction", "0.5"], "--fraction must be within"),
+        (&["--iters"], "requires a value"),
+        (&["--frobnicate"], "unknown flag `--frobnicate`"),
+        (
+            &[
+                "--ne", "1000", "--nodes", "1", "--slots", "1", "--iters", "1",
+            ],
+            "Ne=1000 does not fit 1 nodes x 1 slots",
+        ),
+    ];
+    for (args, fragment) in cases {
+        let out = run(env!("CARGO_BIN_EXE_alg1bench"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "alg1bench {args:?}: {stderr}");
+        assert!(
+            stderr.contains(fragment),
+            "alg1bench {args:?} should say `{fragment}`: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "alg1bench {args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn alg1bench_prints_the_scheduler_table_and_the_scaling_row() {
+    let out = run(
+        env!("CARGO_BIN_EXE_alg1bench"),
+        &[
+            "--ne", "200", "--nodes", "8", "--slots", "4", "--iters", "1",
+        ],
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for name in [
+        "storm-default",
+        "t-storm-initial",
+        "t-storm",
+        "t-storm-ls",
+        "aniello-online",
+        "aniello-offline",
+    ] {
+        assert!(
+            stdout.contains(name),
+            "scheduler table lists {name}: {stdout}"
+        );
+    }
+    assert!(stdout.contains("45 executors"), "{stdout}");
+    assert!(
+        stdout.lines().any(|l| l.trim_start().starts_with("200 ")),
+        "scaling row for Ne=200: {stdout}"
+    );
+}
+
+#[test]
+fn inspect_rejects_malformed_arguments_with_exit_two() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/recording_v1_lanes.jsonl"
+    );
+    let cases: &[(&[&str], &str)] = &[
+        (&[fixture, "--section", "nope"], "unknown section `nope`"),
+        (&[fixture, "--section"], "--section requires a value"),
+        (
+            &[fixture, "extra.jsonl"],
+            "unexpected argument `extra.jsonl`",
+        ),
+        (&[fixture, "--bogus"], "unexpected argument `--bogus`"),
+    ];
+    for (args, fragment) in cases {
+        let out = run(env!("CARGO_BIN_EXE_inspect"), args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "inspect {args:?}: {stderr}");
+        assert!(stderr.contains(fragment), "inspect {args:?}: {stderr}");
+    }
+}
+
+/// A recording written by `tstorm run --workers 2` before the
+/// frame-parallel path was removed: a v1 file closing with a `lanes`
+/// line (wordcount, 3 nodes x 2 slots, rate 20, 40 s, seed 42).
+#[test]
+fn inspect_renders_v1_recordings_that_carry_a_lanes_line() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/recording_v1_lanes.jsonl"
+    );
+    let text = std::fs::read_to_string(fixture).expect("fixture");
+    let recorded = tstorm_trace::parse_recording(&text).expect("v1 recording parses");
+    assert_eq!(recorded.lines_of("lanes").len(), 1);
+
+    let out = run(env!("CARGO_BIN_EXE_inspect"), &[fixture]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    for header in [
+        "== recording ==",
+        "== critical-path breakdown ==",
+        "== traffic heatmap",
+        "== rebalance timeline ==",
+        "== windows ==",
+    ] {
+        assert!(stdout.contains(header), "missing `{header}`: {stdout}");
+    }
+    assert!(stdout.contains("800 roots"), "{stdout}");
+    assert!(
+        !stdout.contains("lane"),
+        "no lane section any more: {stdout}"
+    );
+
+    for section in ["breakdown", "heatmap", "timeline", "windows"] {
+        let out = run(
+            env!("CARGO_BIN_EXE_inspect"),
+            &[fixture, "--section", section],
+        );
+        assert_eq!(out.status.code(), Some(0), "--section {section}");
+    }
+    let out = run(
+        env!("CARGO_BIN_EXE_inspect"),
+        &[fixture, "--section", "lanes"],
+    );
+    assert_eq!(out.status.code(), Some(2), "--section lanes is gone");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown section `lanes`"));
 }

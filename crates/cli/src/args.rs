@@ -3,7 +3,6 @@
 use crate::scenario::Topology;
 use std::fmt;
 use tstorm_core::SystemMode;
-use tstorm_sim::PairBackend;
 
 /// A `--scale` preset: a named large-cluster shape with heterogeneous
 /// CPU and NIC classes and a wide chain workload sized to ≥10k
@@ -126,13 +125,6 @@ pub struct RunOptions {
     /// Large-cluster preset; overrides topology/nodes/slots with a
     /// heterogeneous scale scenario.
     pub scale: Option<ScaleClass>,
-    /// Pair-traffic counter backend override (`None` = engine default,
-    /// which is sparse).
-    pub pair_backend: Option<PairBackend>,
-    /// Observability lane threads for frame-synchronized parallel
-    /// stepping (`1` = the exact serial path). Parallel mode produces
-    /// byte-identical traces and reports to serial for every seed.
-    pub workers: u32,
 }
 
 impl Default for RunOptions {
@@ -164,34 +156,8 @@ impl Default for RunOptions {
             flight_recorder: None,
             explain: false,
             scale: None,
-            pair_backend: None,
-            workers: 1,
         }
     }
-}
-
-/// Strictly parses a `--workers` value: a positive integer, never
-/// silently replaced by a default. Shared with the bench binaries via
-/// `tstorm_bench::args` so every tool rejects the same inputs the same
-/// way.
-///
-/// The value is a *count of lane threads*, so the caller must still
-/// check it against the cluster size (workers ≤ nodes) once the
-/// effective node count is known — presets like `--scale` override
-/// `--nodes` after flag parsing.
-///
-/// # Errors
-///
-/// Returns a human-readable message (without the flag name) for zero or
-/// non-numeric input.
-pub fn parse_workers(raw: &str) -> Result<u32, String> {
-    let n: u32 = raw
-        .parse()
-        .map_err(|_| format!("`{raw}` is not an unsigned integer"))?;
-    if n == 0 {
-        return Err("must be at least 1 (1 = serial)".to_owned());
-    }
-    Ok(n)
 }
 
 /// A parsed invocation.
@@ -272,11 +238,6 @@ OPTIONS (run/compare):
                        CPU (4/8/16 GHz classes) and NIC (1/10 Gbps)
                        nodes with a wide chain topology of 10k+
                        executors; overrides --topology/--nodes/--slots
-    --pair-backend dense|sparse  pair-traffic counter backend [sparse]
-    --workers N        observability lane threads for frame-synchronized
-                       parallel stepping; must not exceed the cluster's
-                       node count. Output is byte-identical to serial
-                       [1 = serial]
 ";
 
 /// Parses a full argument list (excluding `argv[0]`).
@@ -336,8 +297,8 @@ where
                 }
             }
             "--scheduler" => opts.scheduler = value(flag)?,
-            "--gamma" => opts.gamma = parse_num(flag, &value(flag)?)?,
-            "--rate" => opts.rate = parse_num(flag, &value(flag)?)?,
+            "--gamma" => opts.gamma = parse_positive(flag, &value(flag)?)?,
+            "--rate" => opts.rate = parse_positive(flag, &value(flag)?)?,
             "--nodes" => opts.nodes = parse_int(flag, &value(flag)?)?,
             "--slots" => opts.slots = parse_int(flag, &value(flag)?)?,
             "--duration" => opts.duration_secs = u64::from(parse_int(flag, &value(flag)?)?),
@@ -402,22 +363,6 @@ where
                     ))
                 })?);
             }
-            "--workers" => {
-                let v = value(flag)?;
-                opts.workers =
-                    parse_workers(&v).map_err(|e| ParseError(format!("--workers: {e}")))?;
-            }
-            "--pair-backend" => {
-                opts.pair_backend = Some(match value(flag)?.as_str() {
-                    "dense" => PairBackend::Dense,
-                    "sparse" => PairBackend::Sparse,
-                    other => {
-                        return Err(ParseError(format!(
-                            "--pair-backend: unknown backend `{other}` (dense|sparse)"
-                        )))
-                    }
-                });
-            }
             other => return Err(ParseError(format!("unknown flag `{other}`"))),
         }
     }
@@ -427,19 +372,26 @@ where
     if opts.duration_secs == 0 {
         return Err(ParseError("--duration must be positive".to_owned()));
     }
-    let effective_nodes = opts.scale.map_or(opts.nodes, ScaleClass::nodes);
-    if opts.workers > effective_nodes {
-        return Err(ParseError(format!(
-            "--workers: {} exceeds the {} worker nodes in the cluster",
-            opts.workers, effective_nodes
-        )));
-    }
     Ok(opts)
 }
 
 fn parse_num(flag: &str, v: &str) -> Result<f64, ParseError> {
     v.parse()
         .map_err(|_| ParseError(format!("{flag}: `{v}` is not a number")))
+}
+
+/// A finite, strictly positive number: rates and γ feed divisions and
+/// capacity bounds, where 0, negatives, NaN and infinities either panic
+/// deep in the run or fail late with a vague configuration error.
+fn parse_positive(flag: &str, v: &str) -> Result<f64, ParseError> {
+    let x = parse_num(flag, v)?;
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(ParseError(format!(
+            "{flag}: `{v}` must be finite and positive"
+        )))
+    }
 }
 
 fn parse_int(flag: &str, v: &str) -> Result<u32, ParseError> {
@@ -509,6 +461,12 @@ mod tests {
         assert!(parse(args("run --trace-filter tuple,bogus")).is_err());
         assert!(parse(args("run --batch-size 0")).is_err());
         assert!(parse(args("run --batch-size nope")).is_err());
+        for bad in ["0", "-1", "nan", "NaN", "inf", "-inf"] {
+            for flag in ["--rate", "--gamma"] {
+                let err = parse(vec!["run", flag, bad]).unwrap_err();
+                assert!(err.0.contains("finite and positive"), "{flag} {bad}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -609,28 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn parses_scale_and_pair_backend_flags() {
+    fn parses_scale_flag() {
         let Command::Run(o) = parse(args("run --scale scale-100")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(o.scale, Some(ScaleClass::Scale100));
-        assert_eq!(o.pair_backend, None);
 
-        let Command::Run(o) = parse(args("run --scale scale-500 --pair-backend dense")).unwrap()
-        else {
+        let Command::Run(o) = parse(args("run --scale scale-500")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(o.scale, Some(ScaleClass::Scale500));
-        assert_eq!(o.pair_backend, Some(PairBackend::Dense));
-
-        let Command::Run(o) = parse(args("run --pair-backend sparse")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.pair_backend, Some(PairBackend::Sparse));
 
         assert!(parse(args("run --scale scale-9000")).is_err());
         assert!(parse(args("run --scale")).is_err());
-        assert!(parse(args("run --pair-backend hashbrown")).is_err());
     }
 
     #[test]
@@ -641,51 +590,6 @@ mod tests {
         assert_eq!(ScaleClass::Scale500.slots(), 4);
         assert_eq!(ScaleClass::parse("scale-100"), Ok(ScaleClass::Scale100));
         assert!(ScaleClass::parse("mega").is_err());
-    }
-
-    #[test]
-    fn parses_workers_flag() {
-        let Command::Run(o) = parse(args("run")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.workers, 1, "parallel stepping is opt-in");
-
-        let Command::Run(o) = parse(args("run --workers 4")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.workers, 4);
-
-        // Presets override --nodes, so their node count bounds workers.
-        let Command::Run(o) = parse(args("run --scale scale-100 --workers 64")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.workers, 64);
-    }
-
-    #[test]
-    fn rejects_degenerate_workers() {
-        for bad in [
-            "run --workers 0",
-            "run --workers 1O", // letter O typo must not fall back to 10
-            "run --workers -2",
-            "run --workers",
-            "run --workers 11",                    // default cluster has 10 nodes
-            "run --nodes 4 --workers 5",           // explicit cluster, too small
-            "run --workers 101 --scale scale-100", // preset bound, any flag order
-        ] {
-            assert!(parse(args(bad)).is_err(), "{bad}");
-        }
-        // workers == nodes is the boundary and is allowed.
-        assert!(parse(args("run --nodes 4 --workers 4")).is_ok());
-    }
-
-    #[test]
-    fn parse_workers_reports_the_bad_value() {
-        assert_eq!(parse_workers("4"), Ok(4));
-        let msg = parse_workers("1O").unwrap_err();
-        assert!(msg.contains("1O"), "message names the bad value: {msg}");
-        let msg = parse_workers("0").unwrap_err();
-        assert!(msg.contains("at least 1"), "{msg}");
     }
 
     #[test]

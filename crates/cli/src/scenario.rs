@@ -151,16 +151,12 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
     if let Some(cap) = opts.max_replays {
         config.sim.max_replays = cap;
     }
-    if let Some(backend) = opts.pair_backend {
-        config.sim.pair_backend = backend;
-    }
     config.sim.batch_size = opts.batch_size;
     config.heartbeat_period = SimTime::from_secs(opts.heartbeat_secs);
     config.fetch_jitter = opts.fetch_jitter;
     let fault_plan = FaultPlan::from_specs(&opts.faults)
         .map_err(|e| TStormError::invalid_config("--fault", e.to_string()))?;
     let mut system = TStormSystem::new(cluster, config)?;
-    system.set_workers(opts.workers);
     let observer = build_observer(opts)?;
     if observer.is_enabled() {
         system.set_observer(observer.clone());
@@ -549,26 +545,6 @@ mod tests {
         let outcome = run_scenario(&opts).expect("runs");
         assert!(outcome.completed > 100, "{}", outcome.completed);
         assert_eq!(outcome.engine.clock_inversions, 0);
-    }
-
-    #[test]
-    fn parallel_workers_match_serial_output() {
-        // Same scenario with spans on, once serial and once framed:
-        // report and critical-path summary must be identical.
-        let serial = run_scenario(&RunOptions {
-            spans: true,
-            ..quick(Topology::WordCount)
-        })
-        .expect("runs");
-        let parallel = run_scenario(&RunOptions {
-            spans: true,
-            workers: 2,
-            ..quick(Topology::WordCount)
-        })
-        .expect("runs");
-        assert_eq!(serial.completed, parallel.completed);
-        assert_eq!(serial.report, parallel.report);
-        assert_eq!(serial.spans_summary, parallel.spans_summary);
     }
 
     #[test]

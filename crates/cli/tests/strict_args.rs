@@ -1,7 +1,7 @@
 //! End-to-end strict-argument tests for the `tstorm` binary: malformed
 //! invocations must exit 2 with a diagnostic naming the bad value,
-//! matching the bench binaries' convention — never silently fall back
-//! to a default.
+//! matching the bench binaries' convention — never panic, and never
+//! silently fall back to a default.
 
 use std::process::Command;
 
@@ -12,63 +12,91 @@ fn run(args: &[&str]) -> std::process::Output {
         .expect("binary launches")
 }
 
+/// Each row: the invocation and a fragment its stderr must contain.
+const MALFORMED: &[(&[&str], &str)] = &[
+    (&["frobnicate"], "unknown command"),
+    (&["run", "--frobnicate"], "unknown flag `--frobnicate`"),
+    // Retired flags must fail loudly rather than be ignored.
+    (&["run", "--workers", "2"], "unknown flag `--workers`"),
+    (
+        &["run", "--pair-backend", "dense"],
+        "unknown flag `--pair-backend`",
+    ),
+    (&["run", "--rate"], "requires a value"),
+    (&["run", "--rate", "fast"], "`fast` is not a number"),
+    // A non-positive or non-finite rate would panic in the Redis
+    // substrate, and γ feeds the capacity bound: reject both up front.
+    (
+        &["run", "--topology", "wordcount", "--rate", "0"],
+        "--rate: `0` must be finite and positive",
+    ),
+    (
+        &["run", "--topology", "wordcount", "--rate", "-1"],
+        "--rate: `-1` must be finite and positive",
+    ),
+    (
+        &["run", "--topology", "wordcount", "--rate", "nan"],
+        "--rate: `nan` must be finite and positive",
+    ),
+    (
+        &["run", "--topology", "wordcount", "--rate", "inf"],
+        "--rate: `inf` must be finite and positive",
+    ),
+    (
+        &["run", "--gamma", "nan"],
+        "--gamma: `nan` must be finite and positive",
+    ),
+    (
+        &["run", "--gamma", "-1"],
+        "--gamma: `-1` must be finite and positive",
+    ),
+    (
+        &["run", "--gamma", "0"],
+        "--gamma: `0` must be finite and positive",
+    ),
+    (
+        &["compare", "--gamma", "inf"],
+        "--gamma: `inf` must be finite and positive",
+    ),
+    (&["run", "--nodes", "0"], "must be positive"),
+    (
+        &["run", "--batch-size", "0"],
+        "--batch-size must be positive",
+    ),
+    (
+        &["run", "--scale", "scale-9000"],
+        "unknown preset `scale-9000`",
+    ),
+];
+
 #[test]
-fn malformed_workers_exits_two_and_names_the_value() {
-    // The classic letter-O typo must not silently run with 10 lanes.
-    let out = run(&["run", "--workers", "1O"]);
-    assert_eq!(out.status.code(), Some(2), "exit code for `--workers 1O`");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("1O"),
-        "stderr names the bad value: {stderr}"
-    );
-    assert!(stderr.contains("USAGE"), "stderr shows usage: {stderr}");
+fn malformed_invocations_exit_two_and_name_the_problem() {
+    for (args, fragment) in MALFORMED {
+        let out = run(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "exit code for {args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(fragment),
+            "stderr for {args:?} should contain `{fragment}`: {stderr}"
+        );
+        assert!(stderr.contains("USAGE"), "stderr shows usage for {args:?}");
+    }
 }
 
 #[test]
-fn zero_and_missing_workers_exit_two() {
-    let out = run(&["run", "--workers", "0"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("at least 1"));
-
-    let out = run(&["run", "--workers"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("requires a value"));
-}
-
-#[test]
-fn workers_beyond_cluster_size_exit_two() {
-    // Default cluster is 10 nodes.
-    let out = run(&["run", "--workers", "11"]);
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("exceeds the 10 worker nodes"),
-        "stderr explains the bound: {stderr}"
-    );
-
-    let out = run(&["run", "--nodes", "4", "--workers", "5"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn unknown_flags_still_exit_two() {
-    let out = run(&["run", "--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(&["frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
-}
-
-#[test]
-fn valid_workers_run_exits_zero() {
+fn valid_run_exits_zero() {
     let out = run(&[
         "run",
         "--topology",
         "wordcount",
         "--duration",
         "30",
-        "--workers",
-        "2",
+        "--rate",
+        "0.5",
         "--quiet",
     ]);
     assert_eq!(

@@ -199,19 +199,6 @@ impl TStormSystem {
         self.sim.enable_spans();
     }
 
-    /// Sets the engine's observability-lane count for frame-parallel
-    /// stepping (see [`Simulation::set_workers`]); 1 (the default) is
-    /// the plain serial engine. Output is byte-identical either way.
-    pub fn set_workers(&mut self, workers: u32) {
-        self.sim.set_workers(workers);
-    }
-
-    /// The configured observability-lane count (1 = serial).
-    #[must_use]
-    pub fn workers(&self) -> u32 {
-        self.sim.workers()
-    }
-
     /// Turns scheduler decision recording on or off. When on, every
     /// schedule call — generation, initial assignment, rebalance,
     /// recovery — captures a [`ScheduleExplanation`] that is persisted
@@ -253,34 +240,10 @@ impl TStormSystem {
             .sim
             .spans()
             .map(tstorm_trace::CriticalPathCollector::to_json);
-        let lane_stats = self.sim.lane_stats();
-        let workers = self.sim.workers();
         let mut recorder = self.recorder.take()?;
         if let Some(json) = spans_json {
             recorder.line("critical_path", now, |o| {
                 o.raw("summary", &json);
-            });
-        }
-        // Per-lane utilization of the frame-parallel observability
-        // plane. The counters are pure functions of the seed (dispatch
-        // content, never wall clock), but the line only exists when
-        // lanes ran, so recordings are compared per worker count.
-        if !lane_stats.is_empty() {
-            use std::fmt::Write as _;
-            let mut lanes = String::from("[");
-            for (i, s) in lane_stats.iter().enumerate() {
-                if i > 0 {
-                    lanes.push(',');
-                }
-                let _ = write!(
-                    lanes,
-                    "{{\"frames\":{},\"events\":{},\"roots\":{},\"idle_frames\":{}}}",
-                    s.frames, s.events, s.roots, s.idle_frames
-                );
-            }
-            lanes.push(']');
-            recorder.line("lanes", now, |o| {
-                o.u64("workers", u64::from(workers)).raw("lanes", &lanes);
             });
         }
         let _ = recorder.flush();

@@ -11,8 +11,7 @@ fn cluster10() -> ClusterSpec {
     ClusterSpec::homogeneous(10, 4, Mhz::new(8000.0)).expect("valid")
 }
 
-/// The tentpole contract of the frame-parallel refactor: a fully
-/// assembled system (engine, workload logic, control plane) is `Send`
+/// A fully assembled system (engine, workload logic, control plane) is `Send`
 /// and can be moved to another thread mid-run.
 #[test]
 fn assembled_system_is_send() {

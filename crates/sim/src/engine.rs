@@ -1,10 +1,9 @@
 //! The simulation engine: executors, workers, acking, timeouts,
 //! supervisors and metrics, driven by a deterministic event queue.
 
-use crate::config::{PairBackend, ReassignMode, SimConfig};
+use crate::config::{ReassignMode, SimConfig};
 use crate::event::{BatchEnvelope, Envelope, EnvelopeKind, Event, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::frame::{FrameBuf, LanePool, LaneStats, FRAME_CAPACITY};
 use crate::logic::ExecutorLogic;
 use crate::network::{classify, HopClass, Network};
 use crate::routing::{group_tasks_by_destination, select_tasks_into, RouteRule};
@@ -58,22 +57,6 @@ pub struct TopologyHandle {
     pub executors: Vec<ExecutorId>,
 }
 
-/// Per-pair tuple counts behind either backend; see [`PairBackend`].
-#[derive(Debug, Clone)]
-enum PairStore {
-    /// Row-major `n × n` cells with the executor count they are sized
-    /// for.
-    Dense { cells: Vec<u64>, n: usize },
-    /// Packed-pair-id → tuples, deterministic Fx hashing.
-    Sparse(FxHashMap<u64, u64>),
-}
-
-impl Default for PairStore {
-    fn default() -> Self {
-        Self::Sparse(FxHashMap::default())
-    }
-}
-
 /// Packs a directed executor pair into one sortable map key whose
 /// numeric order equals row-major (`from`, then `to`) order.
 #[inline]
@@ -81,14 +64,50 @@ fn pair_key(from: usize, to: usize) -> u64 {
     ((from as u64) << 32) | (to as u64)
 }
 
+/// Per-pair tuple counts keyed by packed pair id ([`pair_key`]), with
+/// deterministic Fx hashing: memory scales with the pairs actually
+/// observed, not with `n × n`.
+#[derive(Debug, Clone, Default)]
+struct PairStore {
+    tuples: FxHashMap<u64, u64>,
+}
+
+impl PairStore {
+    #[inline]
+    fn add(&mut self, from: usize, to: usize) {
+        *self.tuples.entry(pair_key(from, to)).or_insert(0) += 1;
+    }
+
+    fn get(&self, from: usize, to: usize) -> u64 {
+        self.tuples.get(&pair_key(from, to)).copied().unwrap_or(0)
+    }
+
+    /// Estimated resident bytes of the table: key + value + a control
+    /// byte per slot (SwissTable layout).
+    fn state_bytes(&self) -> u64 {
+        (self.tuples.capacity() * (2 * std::mem::size_of::<u64>() + 1)) as u64
+    }
+
+    /// Pairs with traffic: entries are only created by [`Self::add`], so
+    /// every count is at least 1.
+    fn observed(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// All pairs sorted by packed key — row-major order.
+    fn sorted(&self) -> Vec<(u64, u64)> {
+        let mut flat: Vec<(u64, u64)> = self.tuples.iter().map(|(k, t)| (*k, *t)).collect();
+        flat.sort_unstable_by_key(|(k, _)| *k);
+        flat
+    }
+}
+
 /// Raw counters accumulated since the last drain — the per-window readings
 /// the load monitor consumes.
 ///
 /// Executor ids are dense (minted sequentially at submit time), so CPU
 /// cycles are index-addressed (`Vec<u64>`), while pair traffic lives in
-/// a `PairStore`: sparse by default (memory scales with observed
-/// pairs), dense `n × n` on request for A/B comparison. Iteration order
-/// is deterministic for both — dense by construction, sparse via a
+/// a sparse `PairStore` whose iteration is made deterministic by a
 /// read-time sort.
 #[derive(Debug, Clone, Default)]
 pub struct SimCounters {
@@ -105,58 +124,20 @@ pub struct SimCounters {
 }
 
 impl SimCounters {
-    /// Creates zeroed counters sized for `n` executors with the default
-    /// (sparse) pair backend.
+    /// Creates zeroed counters sized for `n` executors.
     #[must_use]
     pub fn with_executors(n: usize) -> Self {
-        Self::with_backend(n, PairBackend::Sparse)
-    }
-
-    /// Creates zeroed counters sized for `n` executors with an explicit
-    /// pair backend.
-    #[must_use]
-    pub fn with_backend(n: usize, backend: PairBackend) -> Self {
-        let pairs = match backend {
-            PairBackend::Dense => PairStore::Dense {
-                cells: vec![0; n * n],
-                n,
-            },
-            PairBackend::Sparse => PairStore::Sparse(FxHashMap::default()),
-        };
         Self {
             cycles: vec![0; n],
-            pairs,
-            node_tx: Vec::new(),
-            failures: 0,
+            ..Self::default()
         }
     }
 
-    /// The backend these counters use for pair traffic.
-    #[must_use]
-    pub fn backend(&self) -> PairBackend {
-        match self.pairs {
-            PairStore::Dense { .. } => PairBackend::Dense,
-            PairStore::Sparse(_) => PairBackend::Sparse,
-        }
-    }
-
-    /// Grows the tables to cover `n` executors, preserving recorded
+    /// Grows the cycle table to cover `n` executors, preserving recorded
     /// values (called when a topology submission adds executors).
     fn ensure_executors(&mut self, n: usize) {
         if n > self.cycles.len() {
             self.cycles.resize(n, 0);
-        }
-        if let PairStore::Dense { cells, n: old } = &mut self.pairs {
-            if n > *old {
-                let mut grown = vec![0u64; n * n];
-                for from in 0..*old {
-                    let old_row = from * *old;
-                    let new_row = from * n;
-                    grown[new_row..new_row + *old].copy_from_slice(&cells[old_row..old_row + *old]);
-                }
-                *cells = grown;
-                *old = n;
-            }
         }
     }
 
@@ -167,10 +148,7 @@ impl SimCounters {
 
     #[inline]
     fn add_pair(&mut self, from: usize, to: usize) {
-        match &mut self.pairs {
-            PairStore::Dense { cells, n } => cells[from * *n + to] += 1,
-            PairStore::Sparse(map) => *map.entry(pair_key(from, to)).or_insert(0) += 1,
-        }
+        self.pairs.add(from, to);
     }
 
     #[inline]
@@ -196,42 +174,20 @@ impl SimCounters {
     /// Tuples recorded for one directed executor pair this window.
     #[must_use]
     pub fn pair(&self, from: ExecutorId, to: ExecutorId) -> u64 {
-        let (f, t) = (from.as_usize(), to.as_usize());
-        match &self.pairs {
-            PairStore::Dense { cells, n } => {
-                if f < *n && t < *n {
-                    cells[f * *n + t]
-                } else {
-                    0
-                }
-            }
-            PairStore::Sparse(map) => map.get(&pair_key(f, t)).copied().unwrap_or(0),
-        }
+        self.pairs.get(from.as_usize(), to.as_usize())
     }
 
     /// Resident bytes held by the pair-traffic store right now — the
-    /// footprint the `--engine-stats` report tracks. Dense counts its
-    /// `n × n` cells; sparse estimates the map's table (key + value + a
-    /// control byte per slot, SwissTable layout).
+    /// footprint the `--engine-stats` report tracks.
     #[must_use]
     pub fn pair_state_bytes(&self) -> u64 {
-        match &self.pairs {
-            PairStore::Dense { cells, .. } => {
-                (cells.capacity() * std::mem::size_of::<u64>()) as u64
-            }
-            PairStore::Sparse(map) => {
-                (map.capacity() * (2 * std::mem::size_of::<u64>() + 1)) as u64
-            }
-        }
+        self.pairs.state_bytes()
     }
 
     /// Number of directed pairs with recorded traffic this window.
     #[must_use]
     pub fn pairs_observed(&self) -> usize {
-        match &self.pairs {
-            PairStore::Dense { cells, .. } => cells.iter().filter(|t| **t > 0).count(),
-            PairStore::Sparse(map) => map.values().filter(|t| **t > 0).count(),
-        }
+        self.pairs.observed()
     }
 
     /// Executors with non-zero CPU this window, in executor-id order.
@@ -244,24 +200,9 @@ impl SimCounters {
     }
 
     /// Directed executor pairs with non-zero traffic this window, in
-    /// row-major (`from`, then `to`) order — identical for both
-    /// backends (packed pair keys sort exactly row-major).
+    /// row-major (`from`, then `to`) order.
     pub fn pair_tuples(&self) -> impl Iterator<Item = (ExecutorId, ExecutorId, u64)> {
-        let mut flat: Vec<(u64, u64)> = match &self.pairs {
-            PairStore::Dense { cells, n } => cells
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| **t > 0)
-                .map(|(i, t)| (pair_key(i / n, i % n), *t))
-                .collect(),
-            PairStore::Sparse(map) => map
-                .iter()
-                .filter(|(_, t)| **t > 0)
-                .map(|(k, t)| (*k, *t))
-                .collect(),
-        };
-        flat.sort_unstable_by_key(|(k, _)| *k);
-        flat.into_iter().map(|(k, t)| {
+        self.pairs.sorted().into_iter().map(|(k, t)| {
             (
                 ExecutorId::new((k >> 32) as u32),
                 ExecutorId::new(k as u32),
@@ -273,11 +214,7 @@ impl SimCounters {
     /// True if the window recorded no CPU, no traffic, and no failures.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        let pairs_empty = match &self.pairs {
-            PairStore::Dense { cells, .. } => cells.iter().all(|t| *t == 0),
-            PairStore::Sparse(map) => map.values().all(|t| *t == 0),
-        };
-        self.failures == 0 && pairs_empty && self.cycles.iter().all(|c| *c == 0)
+        self.failures == 0 && self.pairs.tuples.is_empty() && self.cycles.iter().all(|c| *c == 0)
     }
 }
 
@@ -303,9 +240,8 @@ pub struct EngineStats {
     /// `saturating_sub` arithmetic would have silently clamped to 0µs.
     pub clock_inversions: u64,
     /// High-water resident footprint of the pair-traffic store, in
-    /// bytes, sampled at every counter drain and at stats read time.
-    /// Dense backend: the full `n × n` matrix; sparse: the hash table
-    /// actually allocated for observed pairs.
+    /// bytes (the hash table allocated for observed pairs), sampled at
+    /// every counter drain and at stats read time.
     pub pair_state_bytes: u64,
     /// High-water count of directed executor pairs with observed
     /// traffic in any single monitoring window.
@@ -550,15 +486,6 @@ pub struct Simulation {
     recovery_reassigned: bool,
     /// Fault-to-first-completion latencies (ms) of healed faults.
     recovery_latencies: Vec<f64>,
-    /// Observability lanes for frame-parallel stepping (1 = serial).
-    workers: u32,
-    /// Buffer of the frame currently being stepped. `Some` only while
-    /// [`Simulation::run_until`] runs in framed mode; emit sites buffer
-    /// into it instead of rendering inline.
-    frame: Option<FrameBuf>,
-    /// Persistent lane threads, spawned by the first framed `run_until`
-    /// and kept for the rest of the simulation.
-    lanes: Option<LanePool>,
 }
 
 /// Maps the simulator's hop classification onto the trace vocabulary
@@ -627,7 +554,7 @@ impl Simulation {
             located_count: vec![0; k],
             node_busy: vec![0; k],
             workers_on_node: vec![0; k],
-            counters: SimCounters::with_backend(0, config.pair_backend),
+            counters: SimCounters::default(),
             pair_state_high_water: 0,
             pairs_observed_high_water: 0,
             report: RunReport::new("run"),
@@ -648,9 +575,6 @@ impl Simulation {
             recovery_fault_at: None,
             recovery_reassigned: false,
             recovery_latencies: Vec::new(),
-            workers: 1,
-            frame: None,
-            lanes: None,
         };
         sim.queue
             .push(sim.config.reassign.supervisor_poll, Event::SupervisorPoll);
@@ -1047,132 +971,27 @@ impl Simulation {
     }
 
     /// Runs the simulation until the given virtual time.
-    ///
-    /// With `workers > 1` and an enabled observability plane the chunk
-    /// runs in frame-parallel mode (`run_until_framed`);
-    /// otherwise — including `workers > 1` with nothing to observe,
-    /// where lanes would only add barrier overhead — it runs the exact
-    /// serial loop. Both paths produce byte-identical traces, reports
-    /// and counters for the same seed.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.workers > 1 && (self.observer.is_enabled() || self.spans.is_some()) {
-            self.run_until_framed(until);
-        } else {
-            self.run_until_serial(until);
-        }
-    }
-
-    fn run_until_serial(&mut self, until: SimTime) {
         while let Some(t) = self.queue.peek_time() {
             if t > until {
                 break;
             }
-            self.step_one(t);
+            let (_, event) = self.queue.pop().expect("peeked");
+            self.clock = t;
+            self.events_processed += 1;
+            self.handle(event);
         }
         if until > self.clock {
             self.clock = until;
         }
     }
 
-    /// Pops and handles the event `peek_time` returned `t` for —
-    /// exactly one iteration of the serial loop, shared verbatim by the
-    /// framed loop so the state advance is identical in both modes.
-    #[inline]
-    fn step_one(&mut self, t: SimTime) {
-        let (_, event) = self.queue.pop().expect("peeked");
-        self.clock = t;
-        self.events_processed += 1;
-        self.handle(event);
-    }
-
-    /// Frame-parallel chunk: the coordinator advances simulation state
-    /// in the exact serial pop order, but buffers admitted trace events
-    /// and completed roots into a frame instead of rendering inline. At
-    /// each barrier the previous frame's results are merged back in
-    /// emission order and the new frame is dealt to the lanes, which
-    /// render while the coordinator steps the next frame (depth-1
-    /// pipelining). The pipeline is fully drained before returning, so
-    /// control-plane emissions between chunks stay globally ordered.
-    fn run_until_framed(&mut self, until: SimTime) {
-        if self.lanes.is_none() {
-            self.lanes = Some(LanePool::new(self.workers as usize));
-        }
-        self.frame = Some(FrameBuf::default());
-        loop {
-            while let Some(t) = self.queue.peek_time() {
-                if t > until {
-                    break;
-                }
-                self.step_one(t);
-                if self
-                    .frame
-                    .as_ref()
-                    .is_some_and(|f| f.len() >= FRAME_CAPACITY)
-                {
-                    break;
-                }
-            }
-            let items = self.frame.as_mut().expect("framed mode active").take();
-            let lanes = self.lanes.as_mut().expect("lane pool spawned above");
-            lanes.collect(&self.observer, &mut self.spans);
-            if items.is_empty() {
-                // The horizon was reached and nothing new was emitted:
-                // the stepping loop above only stops short of a full
-                // frame when no events at or before `until` remain.
-                break;
-            }
-            lanes.dispatch(items);
-        }
-        self.frame = None;
-        if until > self.clock {
-            self.clock = until;
-        }
-    }
-
-    /// Sets the number of observability lanes for frame-parallel
-    /// stepping. The default, 1, is the plain serial engine; values
-    /// above 1 parallelize trace rendering and critical-path
-    /// decomposition across that many persistent worker threads while
-    /// the state advance stays serial — output is byte-identical either
-    /// way. Values are clamped to at least 1; callers validate upper
-    /// bounds (the CLI rejects `workers > nodes`).
-    pub fn set_workers(&mut self, workers: u32) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured observability-lane count (1 = serial).
-    #[must_use]
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// Per-lane utilization counters, indexed by lane. Empty unless a
-    /// framed chunk has run (`workers > 1` with tracing or spans on).
-    #[must_use]
-    pub fn lane_stats(&self) -> Vec<LaneStats> {
-        self.lanes
-            .as_ref()
-            .map(|l| l.stats().to_vec())
-            .unwrap_or_default()
-    }
-
-    /// Emits a trace event: rendered inline in serial mode; in framed
-    /// mode the admission check (category filter + sampling counter)
-    /// runs now, in global emission order, and admitted events are
-    /// buffered for lane rendering. The closure only runs when the
-    /// observer is enabled, mirroring [`Observer::emit_with`].
+    /// Emits a trace event. The closure only runs when the observer is
+    /// enabled, mirroring [`Observer::emit_with`].
     #[inline]
     fn emit_trace(&mut self, build: impl FnOnce() -> TraceEvent) {
-        if !self.observer.is_enabled() {
-            return;
-        }
-        let event = build();
-        if let Some(frame) = self.frame.as_mut() {
-            if self.observer.admits(&event) {
-                frame.trace(self.clock, event);
-            }
-        } else {
-            self.observer.emit(self.clock, &event);
+        if self.observer.is_enabled() {
+            self.observer.emit(self.clock, &build());
         }
     }
 
@@ -1212,7 +1031,7 @@ impl Simulation {
         self.note_pair_state();
         std::mem::replace(
             &mut self.counters,
-            SimCounters::with_backend(self.executors.len(), self.config.pair_backend),
+            SimCounters::with_executors(self.executors.len()),
         )
     }
 
@@ -1970,15 +1789,8 @@ impl Simulation {
         if let Some(root) = self.roots.remove(handle) {
             let root_id = root.id;
             let latency_ms = (self.clock - root.emit_at).as_millis_f64();
-            if self.spans.is_some() {
-                // In framed mode the chain walk (a pure fold) is lane
-                // work; the collector absorbs the partial at the next
-                // barrier, in completion order. Serial mode folds inline.
-                if let Some(frame) = self.frame.as_mut() {
-                    frame.root(root_id, root.emit_at, self.clock, chain.clone());
-                } else if let Some(spans) = self.spans.as_mut() {
-                    spans.observe_root(root_id, root.emit_at, self.clock, chain);
-                }
+            if let Some(spans) = self.spans.as_mut() {
+                spans.observe_root(root_id, root.emit_at, self.clock, chain);
             }
             self.report.record_latency(self.clock, latency_ms);
             self.completed += 1;
@@ -3048,26 +2860,13 @@ fn splitmix(mut z: u64) -> u64 {
 mod tests {
     use super::*;
 
-    /// The tentpole contract: a whole simulation — payloads, span
-    /// chains, logic boxes, lanes — can move across threads.
+    /// A whole simulation — payloads, span chains, logic boxes — can
+    /// move across threads.
     #[test]
     fn simulation_is_send() {
         fn assert_send<T: Send>() {}
         assert_send::<Simulation>();
         assert_send::<SharedValues>();
         assert_send::<ExecutorLogic>();
-    }
-
-    #[test]
-    fn workers_clamp_to_at_least_one() {
-        let cluster =
-            ClusterSpec::homogeneous(1, 1, tstorm_types::Mhz::new(1000.0)).expect("valid cluster");
-        let mut sim = Simulation::new(cluster, SimConfig::default());
-        assert_eq!(sim.workers(), 1);
-        sim.set_workers(0);
-        assert_eq!(sim.workers(), 1);
-        sim.set_workers(4);
-        assert_eq!(sim.workers(), 4);
-        assert!(sim.lane_stats().is_empty(), "no framed chunk ran yet");
     }
 }

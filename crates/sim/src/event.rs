@@ -7,12 +7,10 @@
 //! entry indices. Ordering is the strict total order `(time, seq)`
 //! where `seq` is the insertion sequence number, so pop order is
 //! *identical* to the previous `BinaryHeap` implementation — heap shape
-//! is unobservable. [`BinaryEventQueue`] keeps the old implementation
-//! as a reference for the `simbench` heap microbenchmark.
+//! is unobservable; the test module keeps the old implementation as the
+//! pop-order oracle that pins it.
 
 use crate::fault::FaultKind;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use tstorm_topology::SharedValues;
 use tstorm_trace::SpanChain;
 use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, SlotId, TupleId};
@@ -292,81 +290,63 @@ impl std::fmt::Debug for EventQueue {
     }
 }
 
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Entry {}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first, with the
-        // insertion sequence breaking ties deterministically.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The previous `std::collections::BinaryHeap`-backed queue, kept as
-/// the reference implementation the `simbench` heap microbenchmark
-/// compares the 4-ary heap against. Pop order is identical.
-#[derive(Default)]
-pub struct BinaryEventQueue {
-    heap: BinaryHeap<Entry>,
-    next_seq: u64,
-}
-
-impl BinaryEventQueue {
-    /// Creates an empty queue.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules an event at `at`.
-    pub fn push(&mut self, at: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, Event)> {
-        self.heap.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True if no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-}
-
-impl std::fmt::Debug for BinaryEventQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryEventQueue")
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
     use tstorm_types::DetRng;
+
+    impl PartialEq for Entry {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl Eq for Entry {}
+    impl PartialOrd for Entry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Entry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // BinaryHeap is a max-heap; invert for earliest-first, with
+            // the insertion sequence breaking ties deterministically.
+            other
+                .at
+                .cmp(&self.at)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+
+    /// The original `BinaryHeap`-backed queue: the pop-order oracle the
+    /// 4-ary heap must match.
+    #[derive(Default)]
+    struct BinaryEventQueue {
+        heap: BinaryHeap<Entry>,
+        next_seq: u64,
+    }
+
+    impl BinaryEventQueue {
+        fn push(&mut self, at: SimTime, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Entry { at, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Event)> {
+            self.heap.pop().map(|e| (e.at, e.event))
+        }
+    }
+
+    /// Pop key for the oracle comparison: time plus the tick's executor
+    /// id, which the test sets to the push ordinal.
+    fn key(popped: Option<(SimTime, Event)>) -> Option<(SimTime, u32)> {
+        popped.map(|(t, e)| match e {
+            Event::SpoutTick(id) => (t, id.index()),
+            _ => unreachable!("the oracle test pushes only spout ticks"),
+        })
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -427,23 +407,24 @@ mod tests {
         // the engine's determinism contract rides on it.
         let mut rng = DetRng::seed_from(0xbeef);
         let mut quad = EventQueue::new();
-        let mut bin = BinaryEventQueue::new();
+        let mut bin = BinaryEventQueue::default();
         let mut popped = 0usize;
         let mut pushed = 0usize;
         while pushed < 5_000 || popped < 5_000 {
             let push = pushed < 5_000 && (popped >= pushed || rng.below(3) > 0);
             if push {
                 let at = SimTime::from_micros(rng.below(64) as u64);
-                quad.push(at, Event::SupervisorPoll);
-                bin.push(at, Event::SupervisorPoll);
+                let id = ExecutorId::new(pushed as u32);
+                quad.push(at, Event::SpoutTick(id));
+                bin.push(at, Event::SpoutTick(id));
                 pushed += 1;
             } else {
-                let a = quad.pop().map(|(t, _)| t);
-                let b = bin.pop().map(|(t, _)| t);
+                let a = key(quad.pop());
+                let b = key(bin.pop());
                 assert_eq!(a, b, "pop {popped} diverged");
                 popped += 1;
             }
         }
-        assert!(quad.is_empty() && bin.is_empty());
+        assert!(quad.is_empty() && bin.heap.is_empty());
     }
 }

@@ -384,43 +384,6 @@ impl TraceEvent {
         }
     }
 
-    /// Deterministic partition key for the engine's frame-parallel
-    /// rendering lanes: the event's node/executor affinity where it has
-    /// one, else its tuple id, else 0. Only load balance depends on this
-    /// value — the merged output is ordered by emission sequence, so any
-    /// key yields byte-identical traces.
-    #[must_use]
-    pub fn lane_key(&self) -> u64 {
-        match self {
-            TraceEvent::TupleEmit { executor, .. }
-            | TraceEvent::QueueEnter { executor, .. }
-            | TraceEvent::QueueLeave { executor, .. }
-            | TraceEvent::ProcessStart { executor, .. }
-            | TraceEvent::ProcessDone { executor, .. } => u64::from(*executor),
-            TraceEvent::TupleTransfer { to_executor, .. } => u64::from(*to_executor),
-            TraceEvent::Ack { tuple }
-            | TraceEvent::Complete { tuple, .. }
-            | TraceEvent::Timeout { tuple }
-            | TraceEvent::Replay { tuple }
-            | TraceEvent::TupleFailed { tuple, .. } => *tuple,
-            TraceEvent::WorkerStart { node, .. }
-            | TraceEvent::WorkerStop { node, .. }
-            | TraceEvent::OverloadDetected { node, .. }
-            | TraceEvent::HeartbeatSent { node }
-            | TraceEvent::SupervisorFetch { node, .. }
-            | TraceEvent::EpochApplied { node, .. }
-            | TraceEvent::NodeDeclaredDead { node, .. }
-            | TraceEvent::NodeReconciled { node, .. } => u64::from(*node),
-            TraceEvent::FaultInjected { node, .. } => u64::from(node.unwrap_or(0)),
-            TraceEvent::AssignmentApplied { .. }
-            | TraceEvent::ScheduleGenerated { .. }
-            | TraceEvent::SchedulerSwapped { .. }
-            | TraceEvent::GammaChanged { .. }
-            | TraceEvent::ExecutorsReassigned { .. }
-            | TraceEvent::RecoveryComplete { .. } => 0,
-        }
-    }
-
     /// Renders one JSONL line (without trailing newline).
     ///
     /// Field order is fixed: `t` (virtual time, µs), `type`, then the

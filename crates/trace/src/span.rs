@@ -155,9 +155,8 @@ impl SpanSeg {
 
 /// One link of a persistent span chain. Chains grow at the head; the
 /// shared tail is reference-counted so fan-out costs one `Arc` clone.
-/// Atomic counting (rather than `Rc`) lets chains cross thread
-/// boundaries: the engine's parallel stepping mode hands completed
-/// roots' chains to worker lanes for decomposition.
+/// Atomic counting (rather than `Rc`) keeps chains — and so whole
+/// simulations — `Send`.
 #[derive(Debug)]
 pub struct SpanLink {
     /// The newest segment.
@@ -269,73 +268,6 @@ pub struct PathTotals {
     pub replay_us: u64,
 }
 
-/// One completed root's chain walk, decomposed off the critical path of
-/// the engine coordinator: the pointer chase and integer folds happen on
-/// a worker lane, and the (label-free) result is merged into the
-/// [`CriticalPathCollector`] via [`CriticalPathCollector::absorb`].
-/// Entries are keyed by [`ExecutorId`]/[`NodeId`] rather than display
-/// labels so lanes never need the collector's label table.
-#[derive(Debug, Clone)]
-pub struct PathPartial {
-    /// Per-root sums and segment count (the retained breakdown).
-    pub breakdown: RootBreakdown,
-    /// Queue/service segments in chain order: (owner, kind, µs).
-    comp_segs: Vec<(ExecutorId, SpanKind, u64)>,
-    /// Network segments in chain order.
-    net_segs: Vec<SpanSeg>,
-}
-
-/// Walks one completed root's span chain into a [`PathPartial`] — the
-/// pure half of [`CriticalPathCollector::observe_root`]. Safe to run on
-/// any thread: it touches nothing but the chain.
-#[must_use]
-pub fn decompose_root(
-    tuple: TupleId,
-    emit_at: SimTime,
-    completed_at: SimTime,
-    chain: &SpanChain,
-) -> PathPartial {
-    let latency_us = completed_at.saturating_sub(emit_at).as_micros();
-    let mut sums = [0u64; 4];
-    let mut segments: u32 = 0;
-    let mut comp_segs = Vec::new();
-    let mut net_segs = Vec::new();
-    let mut cur = chain;
-    while let Some(link) = cur {
-        let seg = &link.seg;
-        segments += 1;
-        match seg.kind {
-            SpanKind::Queue => {
-                sums[0] += seg.micros;
-                comp_segs.push((seg.executor, SpanKind::Queue, seg.micros));
-            }
-            SpanKind::Service => {
-                sums[1] += seg.micros;
-                comp_segs.push((seg.executor, SpanKind::Service, seg.micros));
-            }
-            SpanKind::Network => {
-                sums[2] += seg.micros;
-                net_segs.push(*seg);
-            }
-            SpanKind::Replay => sums[3] += seg.micros,
-        }
-        cur = &link.parent;
-    }
-    PathPartial {
-        breakdown: RootBreakdown {
-            tuple,
-            latency_us,
-            queue_us: sums[0],
-            service_us: sums[1],
-            network_us: sums[2],
-            replay_us: sums[3],
-            segments,
-        },
-        comp_segs,
-        net_segs,
-    }
-}
-
 /// Streaming aggregator of completed roots' critical paths.
 ///
 /// The engine feeds it one `(root, chain)` pair per completion; the
@@ -392,9 +324,8 @@ impl CriticalPathCollector {
     ///
     /// `chain` is the span chain of the message whose arrival completed
     /// the root (the critical path); `emit_at`/`completed_at` bound the
-    /// measured latency. Equivalent to `absorb(&decompose_root(..))` —
-    /// the serial and frame-parallel engine modes literally share this
-    /// code path, which is what makes their summaries byte-identical.
+    /// measured latency. The chain is walked once, folding each segment
+    /// straight into the aggregates.
     pub fn observe_root(
         &mut self,
         tuple: TupleId,
@@ -402,47 +333,46 @@ impl CriticalPathCollector {
         completed_at: SimTime,
         chain: &SpanChain,
     ) {
-        let partial = decompose_root(tuple, emit_at, completed_at, chain);
-        self.absorb(&partial);
-    }
-
-    /// Merges one lane-decomposed root into the aggregates. All updates
-    /// are integer sums / maxima over ordered maps, so absorbing partials
-    /// in root-completion order reproduces [`Self::observe_root`]'s state
-    /// exactly, regardless of which worker lane decomposed each chain.
-    pub fn absorb(&mut self, partial: &PathPartial) {
-        for (executor, kind, micros) in &partial.comp_segs {
-            let c = self.components.entry(self.label_of(*executor)).or_default();
-            c.segments += 1;
-            match kind {
-                SpanKind::Queue => c.queue_us += micros,
-                _ => c.service_us += micros,
+        let latency_us = completed_at.saturating_sub(emit_at).as_micros();
+        let mut sums = [0u64; 4];
+        let mut segments: u32 = 0;
+        let mut cur = chain;
+        while let Some(link) = cur {
+            let seg = &link.seg;
+            segments += 1;
+            match seg.kind {
+                SpanKind::Queue | SpanKind::Service => {
+                    let c = self
+                        .components
+                        .entry(self.label_of(seg.executor))
+                        .or_default();
+                    c.segments += 1;
+                    if seg.kind == SpanKind::Queue {
+                        sums[0] += seg.micros;
+                        c.queue_us += seg.micros;
+                    } else {
+                        sums[1] += seg.micros;
+                        c.service_us += seg.micros;
+                    }
+                }
+                SpanKind::Network => {
+                    sums[2] += seg.micros;
+                    self.fold_network(seg);
+                }
+                SpanKind::Replay => sums[3] += seg.micros,
             }
-        }
-        for net in &partial.net_segs {
-            let key = (
-                self.label_of(net.from_executor),
-                self.label_of(net.executor),
-            );
-            let e = self.edges.entry(key).or_default();
-            e.hops += 1;
-            e.network_us += net.micros;
-            if net.from_node != net.node {
-                e.inter_node_hops += 1;
-            }
-            let np = self
-                .node_pairs
-                .entry((net.from_node, net.node))
-                .or_default();
-            np.hops += 1;
-            np.network_us += net.micros;
-            let label = net.hop.map_or("unknown", HopClass::label);
-            let hc = self.hop_classes.entry(label).or_default();
-            hc.hops += 1;
-            hc.network_us += net.micros;
+            cur = &link.parent;
         }
 
-        let b = &partial.breakdown;
+        let b = RootBreakdown {
+            tuple,
+            latency_us,
+            queue_us: sums[0],
+            service_us: sums[1],
+            network_us: sums[2],
+            replay_us: sums[3],
+            segments,
+        };
         self.totals.roots += 1;
         if b.replay_us > 0 {
             self.totals.replayed_roots += 1;
@@ -455,10 +385,35 @@ impl CriticalPathCollector {
         self.totals.replay_us += b.replay_us;
 
         if self.breakdowns.len() < self.max_breakdowns {
-            self.breakdowns.push(*b);
+            self.breakdowns.push(b);
         } else {
             self.dropped_breakdowns += 1;
         }
+    }
+
+    /// Adds one network segment to the edge, node-pair and hop-class
+    /// tables.
+    fn fold_network(&mut self, net: &SpanSeg) {
+        let key = (
+            self.label_of(net.from_executor),
+            self.label_of(net.executor),
+        );
+        let e = self.edges.entry(key).or_default();
+        e.hops += 1;
+        e.network_us += net.micros;
+        if net.from_node != net.node {
+            e.inter_node_hops += 1;
+        }
+        let np = self
+            .node_pairs
+            .entry((net.from_node, net.node))
+            .or_default();
+        np.hops += 1;
+        np.network_us += net.micros;
+        let label = net.hop.map_or("unknown", HopClass::label);
+        let hc = self.hop_classes.entry(label).or_default();
+        hc.hops += 1;
+        hc.network_us += net.micros;
     }
 
     /// Grand totals so far.
@@ -800,10 +755,7 @@ mod tests {
     }
 
     #[test]
-    fn decompose_then_absorb_matches_observe_root() {
-        // The frame-parallel engine decomposes chains on worker lanes and
-        // absorbs the partials in completion order; the result must be
-        // indistinguishable from the serial observe_root path.
+    fn observe_root_folds_every_segment_kind_in_one_walk() {
         let chain = extend(
             &extend(
                 &extend(
@@ -814,29 +766,29 @@ mod tests {
             ),
             SpanSeg::service(e(1), n(1), 60),
         );
-        let mut serial = CriticalPathCollector::new();
-        let mut framed = CriticalPathCollector::new();
-        for c in [&mut serial, &mut framed] {
-            c.set_label(e(0), "spout");
-            c.set_label(e(1), "bolt");
-        }
-        serial.observe_root(
+        let mut c = CriticalPathCollector::new();
+        c.set_label(e(0), "spout");
+        c.set_label(e(1), "bolt");
+        c.observe_root(
             TupleId::new(3),
             SimTime::from_micros(1_000),
             SimTime::from_micros(1_600),
             &chain,
         );
-        let partial = decompose_root(
-            TupleId::new(3),
-            SimTime::from_micros(1_000),
-            SimTime::from_micros(1_600),
-            &chain,
+        let t = c.totals();
+        assert_eq!((t.roots, t.replayed_roots), (1, 1));
+        assert_eq!(t.latency_us, 600);
+        assert_eq!(
+            (t.queue_us, t.service_us, t.network_us, t.replay_us),
+            (40, 60, 500, 7_000)
         );
-        framed.absorb(&partial);
-        assert_eq!(serial.to_json(), framed.to_json());
-        assert_eq!(serial.render_summary(), framed.render_summary());
-        assert_eq!(serial.breakdowns(), framed.breakdowns());
-        assert_eq!(serial.totals(), framed.totals());
+        assert_eq!(c.breakdowns()[0].segments, 4);
+        let json = c.to_json();
+        assert!(
+            json.contains(r#"{"component":"bolt","segments":2,"queue_us":40,"service_us":60}"#),
+            "{json}"
+        );
+        assert!(!json.contains(r#""component":"spout""#), "{json}");
     }
 
     #[test]
