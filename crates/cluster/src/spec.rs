@@ -224,9 +224,13 @@ impl ClusterSpec {
         self.slots[slot.as_usize()].node
     }
 
-    /// Slots belonging to one node, in local order.
+    /// Slots belonging to one node, in local order: a node-major slice
+    /// found by binary search, not a scan of every slot (Algorithm 1 asks
+    /// once per node for every executor it places).
     pub fn slots_of(&self, node: NodeId) -> impl Iterator<Item = &SlotInfo> {
-        self.slots.iter().filter(move |s| s.node == node)
+        let start = self.slots.partition_point(|s| s.node < node);
+        let len = self.nodes.get(node.as_usize()).map_or(0, |n| n.num_slots);
+        self.slots[start..start + len as usize].iter()
     }
 
     /// Total CPU capacity across the cluster.
@@ -308,6 +312,22 @@ mod tests {
         let c = ClusterSpec::homogeneous(2, 3, Mhz::new(1000.0)).expect("valid");
         let locals: Vec<u32> = c.slots_of(NodeId::new(1)).map(|s| s.local_index).collect();
         assert_eq!(locals, vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn slots_of_matches_a_scan_of_the_slot_table() {
+        let nodes = [3, 1, 5, 2]
+            .iter()
+            .enumerate()
+            .map(|(k, slots)| NodeSpec::new(NodeId::new(k as u32), Mhz::new(1000.0), *slots))
+            .collect();
+        let c = ClusterSpec::new(nodes).expect("valid");
+        for k in 0..5 {
+            let node = NodeId::new(k);
+            let scanned: Vec<&SlotInfo> = c.slots().iter().filter(|s| s.node == node).collect();
+            assert_eq!(c.slots_of(node).collect::<Vec<_>>(), scanned, "node {k}");
+        }
+        assert_eq!(c.slots_of(NodeId::new(4)).count(), 0, "unknown node");
     }
 
     #[test]

@@ -28,12 +28,14 @@ enum Smoothing {
     Custom(EstimatorFactory),
 }
 
-/// One smoothed parameter's state.
+/// One smoothed parameter's state: 16 bytes, so a traffic entry is 24.
 enum Cell {
     /// Inline EWMA estimate (already initialised by its first sample).
     Ewma(f64),
-    /// Custom estimator instance.
-    Custom(Box<dyn Estimator>),
+    /// Custom estimator instance, behind a thin pointer (a bare
+    /// `Box<dyn Estimator>` is two words and would grow every cell by
+    /// half at a million tracked pairs).
+    Custom(Box<Box<dyn Estimator>>),
 }
 
 impl Cell {
@@ -44,7 +46,7 @@ impl Cell {
             Smoothing::Custom(factory) => {
                 let mut est = factory();
                 est.update(sample);
-                Cell::Custom(est)
+                Cell::Custom(Box::new(est))
             }
         }
     }
@@ -222,16 +224,23 @@ impl StatsDb {
     /// key-ordered regardless of the sparse store's iteration order.
     #[must_use]
     pub fn traffic_matrix(&self) -> TrafficMatrix {
-        let mut m = TrafficMatrix::new();
-        for (key, cell) in &self.traffic {
-            if let Some(rate) = cell.get() {
-                if rate > 1e-9 {
-                    let (from, to) = unpack_pair(*key);
-                    m.set(from, to, rate);
-                }
-            }
-        }
-        m
+        // Sized up front: growing by doubling would copy, and at the end
+        // of a long scale run nearly every tracked pair is still live.
+        let mut live: Vec<(u64, f64)> = Vec::with_capacity(self.traffic.len());
+        live.extend(
+            self.traffic
+                .iter()
+                .filter_map(|(key, cell)| Some((*key, cell.get().filter(|rate| *rate > 1e-9)?))),
+        );
+        // Packed keys sort in (from, to) order, so the matrix is built
+        // from sorted input rather than by 10^6 random-order inserts.
+        live.sort_unstable_by_key(|(key, _)| *key);
+        live.into_iter()
+            .map(|(key, rate)| {
+                let (from, to) = unpack_pair(key);
+                (from, to, rate)
+            })
+            .collect()
     }
 
     /// Removes every estimate touching the given executor (topology
@@ -337,6 +346,48 @@ mod tests {
             db.ingest(&snap(&[], &[]));
         }
         assert!(db.traffic_matrix().is_empty());
+    }
+
+    #[test]
+    fn traffic_matrix_is_key_ordered_and_skips_decayed_pairs() {
+        // Many senders sharing a few destinations (the ack pattern), in
+        // an order unrelated to the packed keys.
+        let mut db = StatsDb::new(0.5);
+        let mut first = Vec::new();
+        for from in (0..300u32).rev() {
+            for to in [1000, 1001, 1002] {
+                first.push((from, to, u64::from(from % 7 + 1)));
+            }
+        }
+        db.ingest(&snap(&[], &first));
+        // Only the even senders keep talking; the odd ones decay.
+        let second: Vec<_> = first
+            .iter()
+            .copied()
+            .filter(|(f, _, _)| f % 2 == 0)
+            .collect();
+        for _ in 0..45 {
+            db.ingest(&snap(&[], &second));
+        }
+        let m = db.traffic_matrix();
+        let got: Vec<_> = m
+            .iter()
+            .map(|(f, t, r)| (f.index(), t.index(), r))
+            .collect();
+        let want: Vec<_> = (0..300u32)
+            .step_by(2)
+            .flat_map(|f| [1000, 1001, 1002].map(|t| (f, t, f64::from(f % 7 + 1) / 20.0)))
+            .collect();
+        assert_eq!(got.len(), want.len());
+        for ((f, t, r), (wf, wt, wr)) in got.into_iter().zip(want) {
+            assert_eq!((f, t), (wf, wt));
+            assert!((r - wr).abs() < 1e-9, "({f},{t}): {r} vs {wr}");
+        }
+    }
+
+    #[test]
+    fn cells_stay_two_words() {
+        assert_eq!(std::mem::size_of::<Cell>(), 16);
     }
 
     #[test]

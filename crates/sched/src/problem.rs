@@ -142,6 +142,22 @@ impl TrafficMatrix {
     }
 }
 
+/// Collects `(from, to, rate)` triples, skipping non-positive rates like
+/// [`TrafficMatrix::set`]; if a pair repeats, its last rate wins. The
+/// map is bulk-built, which is linear when the triples arrive in key
+/// order.
+impl FromIterator<(ExecutorId, ExecutorId, f64)> for TrafficMatrix {
+    fn from_iter<I: IntoIterator<Item = (ExecutorId, ExecutorId, f64)>>(iter: I) -> Self {
+        Self {
+            entries: iter
+                .into_iter()
+                .filter(|(_, _, rate)| *rate > 0.0)
+                .map(|(from, to, rate)| ((from, to), rate))
+                .collect(),
+        }
+    }
+}
+
 /// Tunable scheduling parameters (Section IV-C), adjustable on the fly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SchedParams {
@@ -311,6 +327,27 @@ mod tests {
         assert_eq!(m.len(), 2);
         assert_eq!(m.total(), 18.0);
         assert!(!m.is_empty());
+    }
+
+    #[test]
+    fn collecting_matches_repeated_set() {
+        let triples = [
+            (e(2), e(0), 4.0),
+            (e(0), e(1), 10.0),
+            (e(0), e(3), 0.0),
+            (e(1), e(2), -1.0),
+            (e(0), e(1), 7.0),
+        ];
+        let collected: TrafficMatrix = triples.into_iter().collect();
+        let mut set = TrafficMatrix::new();
+        for (from, to, rate) in triples {
+            set.set(from, to, rate);
+        }
+        assert_eq!(collected, set);
+        assert_eq!(
+            collected.iter().collect::<Vec<_>>(),
+            vec![(e(0), e(1), 7.0), (e(2), e(0), 4.0)]
+        );
     }
 
     #[test]

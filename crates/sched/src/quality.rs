@@ -4,6 +4,7 @@
 use crate::problem::SchedulingInput;
 use serde::{Deserialize, Serialize};
 use tstorm_cluster::Assignment;
+use tstorm_types::{ExecutorId, FxHashMap, SlotId};
 
 /// The traffic/consolidation quality of one assignment under one input.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -34,13 +35,16 @@ impl AssignmentQuality {
         let mut inter_node = 0.0;
         let mut inter_process = 0.0;
         let mut intra_worker = 0.0;
+        // Hashed slot lookups: the matrix holds ~10^6 pairs at scale-100
+        // sizes, two lookups each.
+        let slots: FxHashMap<ExecutorId, SlotId> = assignment.iter().collect();
         for (from, to, rate) in input.traffic.iter() {
-            let (Some(sf), Some(st)) = (assignment.slot_of(from), assignment.slot_of(to)) else {
+            let (Some(sf), Some(st)) = (slots.get(&from), slots.get(&to)) else {
                 continue;
             };
             if sf == st {
                 intra_worker += rate;
-            } else if cluster.node_of(sf) == cluster.node_of(st) {
+            } else if cluster.node_of(*sf) == cluster.node_of(*st) {
                 inter_process += rate;
             } else {
                 inter_node += rate;

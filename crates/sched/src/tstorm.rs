@@ -51,7 +51,6 @@ use crate::explain::{PlacementDecision, ScheduleExplanation};
 use crate::incremental::CachedInput;
 use crate::problem::SchedulingInput;
 use crate::Scheduler;
-use std::collections::HashMap;
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_types::{ExecutorId, FxHashMap, Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
 
@@ -147,7 +146,7 @@ struct State<'a> {
     /// Undirected adjacency: executor -> (neighbour, rate). Built once so
     /// cost maintenance is O(degree) per placement, keeping the whole
     /// loop within the paper's O(Ne log Ne + Ne·Ns) plus O(|traffic|).
-    adjacency: HashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
+    adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
     /// Topology owning each slot, if any.
     slot_topology: Vec<Option<TopologyId>>,
     /// Number of executors in each slot.
@@ -157,11 +156,11 @@ struct State<'a> {
     /// Executor count on each node.
     node_count: Vec<usize>,
     /// The unique slot of (node, topology), once opened.
-    node_topo_slot: HashMap<(NodeId, TopologyId), SlotId>,
+    node_topo_slot: FxHashMap<(NodeId, TopologyId), SlotId>,
     /// For each executor: traffic to already-assigned executors, per node.
-    node_traffic: HashMap<ExecutorId, Vec<f64>>,
+    node_traffic: FxHashMap<ExecutorId, Vec<f64>>,
     /// For each executor: total traffic to already-assigned executors.
-    assigned_traffic: HashMap<ExecutorId, f64>,
+    assigned_traffic: FxHashMap<ExecutorId, f64>,
 }
 
 /// How strictly constraints are enforced while searching for a slot.
@@ -179,7 +178,7 @@ impl<'a> State<'a> {
     fn new(input: &'a SchedulingInput) -> Self {
         let ns = input.cluster.num_slots();
         let k = input.cluster.num_nodes();
-        let mut adjacency: HashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
+        let mut adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
             input.executors.iter().map(|e| (e.id, Vec::new())).collect();
         for (from, to, rate) in input.traffic.iter() {
             if let Some(v) = adjacency.get_mut(&from) {
@@ -196,7 +195,7 @@ impl<'a> State<'a> {
             slot_count: vec![0; ns],
             node_load: vec![Mhz::ZERO; k],
             node_count: vec![0; k],
-            node_topo_slot: HashMap::new(),
+            node_topo_slot: FxHashMap::default(),
             node_traffic: input
                 .executors
                 .iter()
@@ -261,12 +260,14 @@ impl<'a> State<'a> {
         self.node_topo_slot.insert((node, topology), slot);
         // Incremental cost maintenance: every neighbour of the newly
         // placed executor now sees its traffic to `node` increase.
-        let neighbours = self.adjacency.get(&executor).cloned().unwrap_or_default();
+        let Some(neighbours) = self.adjacency.get(&executor) else {
+            return;
+        };
         for (other, rate) in neighbours {
-            if let Some(v) = self.node_traffic.get_mut(&other) {
+            if let Some(v) = self.node_traffic.get_mut(other) {
                 v[k] += rate;
             }
-            if let Some(t) = self.assigned_traffic.get_mut(&other) {
+            if let Some(t) = self.assigned_traffic.get_mut(other) {
                 *t += rate;
             }
         }
@@ -505,7 +506,7 @@ fn replay_with_delta(
 
     // Same adjacency construction as `State::new`, so on-demand cost
     // sums replay the full solve's float operations in the same order.
-    let mut adjacency: HashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
+    let mut adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
         input.executors.iter().map(|e| (e.id, Vec::new())).collect();
     for (from, to, rate) in input.traffic.iter() {
         if let Some(v) = adjacency.get_mut(&from) {
@@ -517,7 +518,7 @@ fn replay_with_delta(
     }
 
     let mut slot_topology: Vec<Option<TopologyId>> = vec![None; ns];
-    let mut node_topo_slot: HashMap<(NodeId, TopologyId), SlotId> = HashMap::new();
+    let mut node_topo_slot: FxHashMap<(NodeId, TopologyId), SlotId> = FxHashMap::default();
     let mut node_count = vec![0usize; k];
     // Node loads under the new and under the cached estimates. Both runs
     // share every placement, so headroom can only differ on nodes where
@@ -662,7 +663,7 @@ fn replay_with_delta(
 /// `State::candidate_slot` against the replay's structural state.
 fn replay_candidate_slot(
     cluster: &ClusterSpec,
-    node_topo_slot: &HashMap<(NodeId, TopologyId), SlotId>,
+    node_topo_slot: &FxHashMap<(NodeId, TopologyId), SlotId>,
     slot_topology: &[Option<TopologyId>],
     node: NodeId,
     topology: TopologyId,
@@ -684,7 +685,7 @@ fn replay_candidate_slot(
 /// floats match the full solve bit for bit.
 fn gather_assigned_traffic(
     executor: ExecutorId,
-    adjacency: &HashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
+    adjacency: &FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
     placed: &FxHashMap<ExecutorId, (u32, NodeId)>,
     scratch: &mut [f64],
     touched: &mut Vec<usize>,

@@ -7,7 +7,9 @@
 //! The simulator's keys are trusted (dense ids it mints itself), so we
 //! use the Fx multiply-rotate construction (rustc's hasher): one
 //! `rotate_left` + XOR + multiply per word, fixed seed, identical
-//! results on every run and platform.
+//! results on every run and platform. `finish` folds the state's wide
+//! product so that the low bits `HashMap` picks buckets with depend on
+//! the whole key (see [`FxHasher::finish`]).
 //!
 //! Use [`FxHashMap`] / [`FxHashSet`] wherever a per-tuple map is needed
 //! and the keys are engine-generated.
@@ -40,9 +42,20 @@ impl FxHasher {
 }
 
 impl Hasher for FxHasher {
+    /// Folds the state's 128-bit product with `SEED`: high half XOR
+    /// low half.
+    ///
+    /// Bit `k` of a product depends only on bits `0..=k` of its
+    /// factors, so the raw state's low bits see only the low bits of the
+    /// last word written. std's `HashMap` picks the bucket from those low
+    /// bits: a packed `(from << 32) | to` key would start probing at a
+    /// bucket chosen by `to` alone, and every pair sharing a destination
+    /// would pile up there. The high half of the wide product depends on
+    /// every state bit, so after the fold so does every bit of the hash.
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        let wide = u128::from(self.hash) * u128::from(SEED);
+        (wide as u64) ^ ((wide >> 64) as u64)
     }
 
     #[inline]
@@ -117,7 +130,8 @@ mod tests {
             state = (state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED);
             i += 8;
         }
-        state
+        let wide = u128::from(state) * u128::from(SEED);
+        (wide as u64) ^ ((wide >> 64) as u64)
     }
 
     fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -207,20 +221,68 @@ mod tests {
         assert_eq!(build(), build());
     }
 
+    /// Distinct values of `hash & mask` over `keys`: the buckets std's
+    /// `HashMap` (SwissTable) would start probing at in a table of
+    /// `mask + 1` buckets.
+    fn bucket_starts(keys: impl Iterator<Item = u64>, mask: u64) -> usize {
+        let b = FxBuildHasher::default();
+        keys.map(|k| b.hash_one(k) & mask)
+            .collect::<FxHashSet<u64>>()
+            .len()
+    }
+
     #[test]
     fn distributes_dense_ids() {
-        // Dense sequential ids (the simulator's key shape) should not
-        // collapse into a few buckets.
-        let mut seen = FxHashSet::default();
-        for i in 0u64..4096 {
-            let b = FxBuildHasher::default();
-            seen.insert(b.hash_one(i) >> 52);
+        // Dense sequential ids (executor ids, slot ids) must spread over
+        // the low (bucket) bits like random keys would (4,096 random
+        // keys hit 1 - 1/e ≈ 63% of 4,096 buckets, ~2,589), and over
+        // the top 7 bits SwissTable keeps as each slot's tag.
+        let starts = bucket_starts(0..4096, 0xfff);
+        assert!(starts > 2_400, "only {starts} distinct bucket starts");
+        let b = FxBuildHasher::default();
+        let tags: FxHashSet<u64> = (0u64..4096).map(|i| b.hash_one(i) >> 57).collect();
+        assert_eq!(tags.len(), 128);
+    }
+
+    #[test]
+    fn bucket_bits_see_the_whole_packed_pair_key() {
+        // The monitor and the simulator key pair traffic by
+        // `(from << 32) | to`, and every executor acks to a few shared
+        // ackers, so thousands of keys differ only in `from`. 65,536
+        // random keys hit 1 - e^(-1/2) ≈ 39% of 131,072 buckets, ~51.6k;
+        // an unfolded Fx hash gives 16 (one per destination).
+        let mask = (1 << 17) - 1;
+        let shapes: [(&str, Vec<u64>); 4] = [
+            ("4096 senders x 16 receivers", grid(0..4096, 0..16)),
+            ("256 x 256", grid(0..256, 0..256)),
+            ("one sender", grid(7..8, 0..65_536)),
+            (
+                "chain i -> i+1",
+                (0..65_536).map(|i| (i << 32) | (i + 1)).collect(),
+            ),
+        ];
+        for (shape, keys) in shapes {
+            let starts = bucket_starts(keys.into_iter(), mask);
+            assert!(
+                starts > 49_000,
+                "{shape}: only {starts} distinct bucket starts"
+            );
         }
-        assert!(
-            seen.len() > 256,
-            "only {} distinct top-12-bit values",
-            seen.len()
-        );
+    }
+
+    fn grid(from: std::ops::Range<u64>, to: std::ops::Range<u64>) -> Vec<u64> {
+        from.flat_map(|f| to.clone().map(move |t| (f << 32) | t))
+            .collect()
+    }
+
+    #[test]
+    fn top_input_bit_reaches_the_bucket_bits() {
+        // Flipping the last word's top bit must reach the bucket bits
+        // and the tag (before the fold it reached only bit 63).
+        let b = FxBuildHasher::default();
+        let (a, z) = (b.hash_one(5u64), b.hash_one(5u64 | 1 << 63));
+        assert_ne!(a & 0xffff, z & 0xffff);
+        assert_ne!(a >> 57, z >> 57);
     }
 
     #[test]
