@@ -1133,7 +1133,7 @@ impl Simulation {
     }
 
     /// Largest number of events ever pending in the event queue at once
-    /// (the heap high-water mark).
+    /// (pending events in both lanes: the heap and the timeout lane).
     #[must_use]
     pub fn queue_high_water(&self) -> usize {
         self.queue.high_water()
@@ -1204,6 +1204,9 @@ impl Simulation {
     /// Returns [`TStormError::InvalidConfig`] if a fault targets a node
     /// or node-local slot outside the cluster.
     pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<()> {
+        // Each fault is pushed before its paired restore, so a zero-length
+        // window (`dur=0`, `restart=0`, or anything under 1 µs) still pops
+        // fault-then-restore at the same instant and closes.
         for event in plan.events() {
             if let Some(node) = event.kind.node() {
                 if node.as_usize() >= self.cluster.num_nodes() {
@@ -1217,7 +1220,7 @@ impl Simulation {
                     ));
                 }
             }
-            match event.kind {
+            let restore = match event.kind {
                 FaultKind::WorkerCrash {
                     node, local_slot, ..
                 } => {
@@ -1228,28 +1231,24 @@ impl Simulation {
                             format!("node {node} has {slots} slots, no local slot {local_slot}"),
                         ));
                     }
+                    None
                 }
                 FaultKind::NodeCrash {
                     node,
                     restart_after,
-                } => {
-                    if let Some(after) = restart_after {
-                        self.queue.push(event.at + after, Event::NodeRestart(node));
-                    }
-                }
+                } => restart_after.map(|after| (after, Event::NodeRestart(node))),
                 FaultKind::NicSlowdown { node, duration, .. } => {
-                    self.queue
-                        .push(event.at + duration, Event::NicRestore(node));
+                    Some((duration, Event::NicRestore(node)))
                 }
-                FaultKind::NimbusCrash { duration } => {
-                    self.queue.push(event.at + duration, Event::NimbusRestore);
-                }
+                FaultKind::NimbusCrash { duration } => Some((duration, Event::NimbusRestore)),
                 FaultKind::HeartbeatLoss { node, duration } => {
-                    self.queue
-                        .push(event.at + duration, Event::HeartbeatRestore(node));
+                    Some((duration, Event::HeartbeatRestore(node)))
                 }
-            }
+            };
             self.queue.push(event.at, Event::Fault(event.kind.clone()));
+            if let Some((after, restore)) = restore {
+                self.queue.push(event.at + after, restore);
+            }
         }
         Ok(())
     }

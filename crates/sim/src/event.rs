@@ -1,14 +1,30 @@
-//! The event queue: a time-ordered heap with deterministic tie-breaking.
+//! The event queue: a time-ordered heap plus a FIFO timeout lane, with
+//! deterministic tie-breaking.
 //!
 //! The queue is the simulator's innermost loop — every tuple costs
-//! several push/pop round-trips — so the default implementation is a
-//! flat 4-ary min-heap: shallower than a binary heap (log₄ vs log₂
-//! levels), with all four children of a node on one cache line of
-//! entry indices. Ordering is the strict total order `(time, seq)`
-//! where `seq` is the insertion sequence number, so pop order is
-//! *identical* to the previous `BinaryHeap` implementation — heap shape
-//! is unobservable; the test module keeps the old implementation as the
-//! pop-order oracle that pins it.
+//! several push/pop round-trips — so live events sit in a flat 4-ary
+//! min-heap: shallower than a binary heap (log₄ vs log₂ levels), with
+//! all four children of a node on one cache line of entry indices.
+//!
+//! Tuple timeouts bypass the heap. Every spout tuple arms one at
+//! `emit + message_timeout`, and almost all of them fire long after
+//! their root was acked, as generation-checked no-ops. Because the
+//! clock never goes backwards and a topology's timeout is fixed, they
+//! arrive already sorted by deadline, so a [`Event::TupleTimeout`] whose
+//! deadline is at or after the lane's back is appended to a `VecDeque`.
+//! Any other timeout (one from a topology with a shorter timeout, say)
+//! falls back to the heap. The heap therefore holds the live events,
+//! not one entry per root armed in the last timeout period.
+//!
+//! Ordering is the strict total order `(time, seq)` where `seq` is the
+//! insertion sequence number, shared by both lanes. Each lane pops in
+//! that order and `pop` takes the earlier head, so pop order is
+//! *identical* to a single `BinaryHeap` — heap shape and lane choice are
+//! unobservable; the test module keeps that `BinaryHeap` as the
+//! pop-order oracle that pins it. [`EventQueue::len`] and
+//! [`EventQueue::high_water`] count both lanes.
+
+use std::collections::VecDeque;
 
 use crate::fault::FaultKind;
 use tstorm_topology::SharedValues;
@@ -182,10 +198,14 @@ impl Entry {
 /// worst-case sift-down still scans only a handful of entries.
 const ARITY: usize = 4;
 
-/// A deterministic earliest-first event queue (4-ary min-heap).
+/// A deterministic earliest-first event queue: a 4-ary min-heap of live
+/// events beside a FIFO lane of in-order tuple timeouts.
 #[derive(Default)]
 pub struct EventQueue {
     entries: Vec<Entry>,
+    /// Tuple timeouts as `(deadline, seq, root)`, sorted by
+    /// `(deadline, seq)` because pushes only ever append at the back.
+    timeouts: VecDeque<(SimTime, u64, SlabHandle)>,
     next_seq: u64,
     high_water: usize,
 }
@@ -201,13 +221,24 @@ impl EventQueue {
     pub fn push(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.entries.push(Entry { at, seq, event });
-        self.sift_up(self.entries.len() - 1);
-        self.high_water = self.high_water.max(self.entries.len());
+        match event {
+            Event::TupleTimeout(root) if self.timeouts.back().is_none_or(|b| at >= b.0) => {
+                self.timeouts.push_back((at, seq, root));
+            }
+            event => {
+                self.entries.push(Entry { at, seq, event });
+                self.sift_up(self.entries.len() - 1);
+            }
+        }
+        self.high_water = self.high_water.max(self.len());
     }
 
     /// Pops the earliest event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        if self.timeout_first() {
+            let (at, _, root) = self.timeouts.pop_front().expect("lane head exists");
+            return Some((at, Event::TupleTimeout(root)));
+        }
         if self.entries.is_empty() {
             return None;
         }
@@ -220,26 +251,40 @@ impl EventQueue {
         Some((entry.at, entry.event))
     }
 
+    /// True if the timeout lane's head is the earliest pending event.
+    #[inline]
+    fn timeout_first(&self) -> bool {
+        match (self.timeouts.front(), self.entries.first()) {
+            (Some(&(at, seq, _)), Some(e)) => (at, seq) < (e.at, e.seq),
+            (lane, _) => lane.is_some(),
+        }
+    }
+
     /// Time of the earliest pending event.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.entries.first().map(|e| e.at)
+        if self.timeout_first() {
+            self.timeouts.front().map(|t| t.0)
+        } else {
+            self.entries.first().map(|e| e.at)
+        }
     }
 
-    /// Number of pending events.
+    /// Number of pending events in both lanes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.len() + self.timeouts.len()
     }
 
     /// True if no events are pending.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.entries.is_empty() && self.timeouts.is_empty()
     }
 
-    /// Largest number of events ever pending at once — the queue's
-    /// high-water mark, reported by the offline bench harness.
+    /// Largest number of events ever pending at once in both lanes —
+    /// the queue's high-water mark, reported by the offline bench
+    /// harness.
     #[must_use]
     pub fn high_water(&self) -> usize {
         self.high_water
@@ -284,7 +329,7 @@ impl EventQueue {
 impl std::fmt::Debug for EventQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
-            .field("pending", &self.entries.len())
+            .field("pending", &self.len())
             .field("next_seq", &self.next_seq)
             .finish()
     }
@@ -295,7 +340,7 @@ mod tests {
     use super::*;
     use std::cmp::Ordering;
     use std::collections::BinaryHeap;
-    use tstorm_types::DetRng;
+    use tstorm_types::{DetRng, Slab};
 
     impl PartialEq for Entry {
         fn eq(&self, other: &Self) -> bool {
@@ -319,8 +364,8 @@ mod tests {
         }
     }
 
-    /// The original `BinaryHeap`-backed queue: the pop-order oracle the
-    /// 4-ary heap must match.
+    /// The original single `BinaryHeap` queue: the pop-order oracle the
+    /// 4-ary heap and the timeout lane must match.
     #[derive(Default)]
     struct BinaryEventQueue {
         heap: BinaryHeap<Entry>,
@@ -337,14 +382,35 @@ mod tests {
         fn pop(&mut self) -> Option<(SimTime, Event)> {
             self.heap.pop().map(|e| (e.at, e.event))
         }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
     }
 
-    /// Pop key for the oracle comparison: time plus the tick's executor
-    /// id, which the test sets to the push ordinal.
-    fn key(popped: Option<(SimTime, Event)>) -> Option<(SimTime, u32)> {
+    /// What the oracle tests push: a tick named by its push ordinal, or
+    /// a tuple timeout named by its root's slab handle.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Key {
+        Tick(u32),
+        Timeout(SlabHandle),
+    }
+
+    impl Key {
+        fn event(self) -> Event {
+            match self {
+                Key::Tick(i) => Event::SpoutTick(ExecutorId::new(i)),
+                Key::Timeout(root) => Event::TupleTimeout(root),
+            }
+        }
+    }
+
+    /// Pop key for the oracle comparison.
+    fn key(popped: Option<(SimTime, Event)>) -> Option<(SimTime, Key)> {
         popped.map(|(t, e)| match e {
-            Event::SpoutTick(id) => (t, id.index()),
-            _ => unreachable!("the oracle test pushes only spout ticks"),
+            Event::SpoutTick(id) => (t, Key::Tick(id.index())),
+            Event::TupleTimeout(root) => (t, Key::Timeout(root)),
+            _ => unreachable!("the oracle tests push only ticks and timeouts"),
         })
     }
 
@@ -426,5 +492,66 @@ mod tests {
             }
         }
         assert!(quad.is_empty() && bin.heap.is_empty());
+    }
+
+    #[test]
+    fn timeout_lane_matches_binary_heap_pop_for_pop() {
+        // Ticks and timeouts mixed the way the engine pushes them, with
+        // "now" following the pops: in-order timeouts armed a fixed
+        // period ahead take the lane; shorter ones usually land before
+        // the lane's back and fall back to the heap; and with every
+        // deadline within 4 µs of now, equal timestamps straddle the two
+        // lanes constantly. Pops, sizes, peeks and the high-water mark
+        // must all match the single-heap oracle.
+        let mut rng = DetRng::seed_from(0x71ae);
+        let mut slab = Slab::new();
+        let mut q = EventQueue::new();
+        let mut oracle = BinaryEventQueue::default();
+        let mut now = SimTime::ZERO;
+        let (mut to_lane, mut to_heap, mut cross_ties, mut peak) = (0, 0, 0, 0);
+        for step in 0..40_000u32 {
+            if step < 30_000 && (oracle.heap.is_empty() || rng.below(5) < 3) {
+                let soon = now + SimTime::from_micros(rng.below(4) as u64);
+                let (at, k) = match rng.below(4) {
+                    0 | 1 => (soon, Key::Tick(step)),
+                    2 => (now + SimTime::from_micros(4), Key::Timeout(slab.insert(()))),
+                    _ => (soon, Key::Timeout(slab.insert(()))),
+                };
+                let lane_before = q.timeouts.len();
+                q.push(at, k.event());
+                oracle.push(at, k.event());
+                if matches!(k, Key::Timeout(_)) {
+                    if q.timeouts.len() > lane_before {
+                        to_lane += 1;
+                    } else {
+                        to_heap += 1;
+                    }
+                }
+                peak = peak.max(oracle.heap.len());
+            } else {
+                if let (Some(t), Some(e)) = (q.timeouts.front(), q.entries.first()) {
+                    cross_ties += usize::from(t.0 == e.at);
+                }
+                let popped = key(q.pop());
+                assert_eq!(popped, key(oracle.pop()), "step {step} diverged");
+                match popped {
+                    Some((t, k)) => {
+                        now = t;
+                        if let Key::Timeout(root) = k {
+                            slab.remove(root);
+                        }
+                    }
+                    None => break,
+                }
+            }
+            assert_eq!(q.len(), oracle.heap.len());
+            assert_eq!(q.is_empty(), oracle.heap.is_empty());
+            assert_eq!(q.peek_time(), oracle.peek_time());
+            assert_eq!(q.high_water(), peak);
+        }
+        assert!(q.is_empty());
+        assert!(to_lane > 3_000, "lane path taken {to_lane} times");
+        assert!(to_heap > 3_000, "heap fallback taken {to_heap} times");
+        assert!(cross_ties > 1_000, "{cross_ties} cross-lane ties popped");
     }
 }

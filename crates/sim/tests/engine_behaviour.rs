@@ -5,11 +5,11 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_sim::{
-    BoltLogic, ConstSpout, ExecutorLogic, IdentityBolt, ReassignMode, SimConfig, Simulation,
-    SpoutLogic,
+    BoltLogic, ConstSpout, ExecutorLogic, FaultPlan, IdentityBolt, ReassignMode, SimConfig,
+    Simulation, SpoutLogic,
 };
 use tstorm_topology::{Grouping, Topology, TopologyBuilder, Value};
-use tstorm_types::{Mhz, SimTime, SlotId};
+use tstorm_types::{Mhz, NodeId, SimTime, SlotId};
 
 fn cluster(nodes: u32, slots: u32) -> ClusterSpec {
     ClusterSpec::homogeneous(nodes, slots, Mhz::new(8000.0)).expect("valid cluster")
@@ -600,6 +600,60 @@ fn unrecoverable_failure_without_free_slots_keeps_executors_down() {
         before
     );
     assert!(sim.current_assignment().is_empty());
+}
+
+/// Runs the chain topology across both nodes of a two-node cluster for
+/// 20 virtual seconds under the given fault specs.
+fn run_with_faults(specs: &[&str]) -> Simulation {
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
+    let mut f = identity_factory();
+    sim.submit_topology(&chain_topology(1), &mut f);
+    sim.apply_assignment(&spread_over(&sim, &[0, 2]));
+    let plan = FaultPlan::from_specs(specs.iter().copied()).expect("valid plan");
+    sim.apply_fault_plan(&plan).expect("plan fits the cluster");
+    sim.run_until(SimTime::from_secs(20));
+    sim
+}
+
+// A fault and its restore at the same instant must pop in that order,
+// or the restore is a no-op and the fault outlives its window.
+
+#[test]
+fn zero_length_node_crash_window_closes() {
+    let sim = run_with_faults(&["node-crash@t=5,node=1,restart=0"]);
+    assert_eq!(sim.faults_injected(), 1);
+    assert!(sim.cluster().is_node_live(NodeId::new(1)));
+}
+
+#[test]
+fn zero_length_nic_slowdown_window_closes() {
+    // Set and cleared at one instant, the slowdown delays no transfer:
+    // the run matches a fault-free one tuple for tuple.
+    let slowed = run_with_faults(&["nic-slow@t=5,node=1,factor=50,dur=0"]);
+    let clean = run_with_faults(&[]);
+    assert_eq!(slowed.faults_injected(), 1);
+    assert_eq!(slowed.completed(), clean.completed());
+    assert_eq!(
+        slowed.report("x").render_csv(),
+        clean.report("x").render_csv()
+    );
+}
+
+#[test]
+fn zero_length_nimbus_crash_window_closes() {
+    // `dur` below 1 µs rounds to a zero-length window too.
+    for spec in ["nimbus-crash@t=5,dur=0", "nimbus-crash@t=5,dur=0.0000004"] {
+        let sim = run_with_faults(&[spec]);
+        assert_eq!(sim.faults_injected(), 1, "{spec}");
+        assert!(!sim.nimbus_down(), "{spec}");
+    }
+}
+
+#[test]
+fn zero_length_heartbeat_loss_window_closes() {
+    let sim = run_with_faults(&["heartbeat-loss@t=5,node=1,dur=0"]);
+    assert_eq!(sim.faults_injected(), 1);
+    assert!(!sim.heartbeat_suppressed(NodeId::new(1)));
 }
 
 #[test]
