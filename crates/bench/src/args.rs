@@ -43,8 +43,25 @@ pub fn usage(bin: &str, default_duration: u64, default_seed: u64) -> String {
     )
 }
 
+/// Checks that a virtual duration fits the engine's clock, which counts
+/// microseconds in a `u64`. `SimTime::from_secs` does not check, so a
+/// longer run would silently wrap around to a much shorter one.
+///
+/// # Errors
+///
+/// Returns the reason when `secs` microseconds overflow `u64`.
+pub fn check_duration_secs(secs: u64) -> Result<u64, String> {
+    secs.checked_mul(1_000_000).map(|_| secs).ok_or_else(|| {
+        format!(
+            "overflows the microsecond clock (at most {} s)",
+            u64::MAX / 1_000_000
+        )
+    })
+}
+
 /// Parses the standard `[duration_secs] [seed]` positionals strictly:
-/// a value that does not parse as `u64`, or any extra argument, is an
+/// a value that does not parse as `u64`, a duration that overflows the
+/// clock ([`check_duration_secs`]), or any extra argument, is an
 /// error — never silently replaced by the default.
 pub fn parse_fig_args<I>(args: I, default_duration: u64, default_seed: u64) -> Parsed
 where
@@ -62,14 +79,17 @@ where
         if slot >= values.len() {
             return Parsed::Error(format!("unexpected extra argument `{arg}`"));
         }
-        match arg.parse::<u64>() {
+        let parsed = arg
+            .parse::<u64>()
+            .map_err(|_| "expected an unsigned integer".to_owned());
+        let parsed = if slot == 0 {
+            parsed.and_then(check_duration_secs)
+        } else {
+            parsed
+        };
+        match parsed {
             Ok(v) => values[slot] = v,
-            Err(_) => {
-                return Parsed::Error(format!(
-                    "invalid {} `{arg}`: expected an unsigned integer",
-                    NAMES[slot]
-                ))
-            }
+            Err(why) => return Parsed::Error(format!("invalid {} `{arg}`: {why}", NAMES[slot])),
         }
     }
     Parsed::Ok(FigArgs {
@@ -146,6 +166,27 @@ mod tests {
         assert!(msg.contains("100O"), "message names the bad value: {msg}");
         assert!(matches!(parse(&["120", "4x"]), Parsed::Error(_)));
         assert!(matches!(parse(&["-5"]), Parsed::Error(_)));
+    }
+
+    #[test]
+    fn durations_must_fit_the_microsecond_clock() {
+        let max = u64::MAX / 1_000_000;
+        assert_eq!(
+            parse(&[&max.to_string()]),
+            Parsed::Ok(FigArgs {
+                duration_secs: max,
+                seed: 42
+            })
+        );
+        let Parsed::Error(msg) = parse(&[&(max + 1).to_string()]) else {
+            panic!("a duration past the clock must be rejected");
+        };
+        assert!(msg.contains("18446744073710"), "names the value: {msg}");
+        // Seeds are not durations: any u64 goes.
+        assert!(matches!(
+            parse(&["10", "18446744073709551615"]),
+            Parsed::Ok(_)
+        ));
     }
 
     #[test]

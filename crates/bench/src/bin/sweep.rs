@@ -19,6 +19,7 @@
 
 use std::process::ExitCode;
 use std::time::Instant;
+use tstorm_bench::args::check_duration_secs;
 use tstorm_bench::experiments::AppWorkload;
 use tstorm_bench::sweep::{mode_from_name, render_sweep_json, run_sweep, SweepGrid};
 use tstorm_metrics::render_aggregate_table;
@@ -115,7 +116,8 @@ fn parse_cli(args: &[String]) -> Result<Option<Cli>, String> {
             }
             "--duration" => {
                 let v = value_of("--duration")?;
-                grid.duration_secs = parse_u64("--duration", &v)?;
+                grid.duration_secs = check_duration_secs(parse_u64("--duration", &v)?)
+                    .map_err(|why| format!("sweep: --duration `{v}` {why}"))?;
             }
             "--threads" => {
                 let v = value_of("--threads")?;

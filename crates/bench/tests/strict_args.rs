@@ -35,6 +35,45 @@ fn malformed_seed_and_extra_args_exit_nonzero() {
     assert_eq!(out.status.code(), Some(2));
 }
 
+/// `SimTime::from_secs` does not check for overflow, so a duration whose
+/// microsecond count overflows `u64` would wrap to a sub-second run that
+/// exits 0 (`fig3 18446744073710` printed `emitted=0`). Each row:
+/// binary, arguments, the duration they pass.
+#[test]
+fn overflowing_durations_exit_two_and_name_the_value() {
+    let cases: &[(&str, &[&str], &str)] = &[
+        (
+            env!("CARGO_BIN_EXE_fig3"),
+            &["18446744073710"],
+            "18446744073710",
+        ),
+        (
+            env!("CARGO_BIN_EXE_fig5"),
+            &["18446744073710", "7"],
+            "18446744073710",
+        ),
+        (
+            env!("CARGO_BIN_EXE_summary"),
+            &["18446744073709551615"],
+            "18446744073709551615",
+        ),
+        (
+            env!("CARGO_BIN_EXE_sweep"),
+            &["--duration", "18446744073710"],
+            "18446744073710",
+        ),
+    ];
+    for (bin, args, duration) in cases {
+        let out = run(bin, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("`{duration}`")) && stderr.contains("overflows"),
+            "{bin} {args:?} names the duration: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn help_exits_zero_with_usage() {
     for bin in [

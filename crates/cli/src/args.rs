@@ -301,8 +301,10 @@ where
             "--rate" => opts.rate = parse_positive(flag, &value(flag)?)?,
             "--nodes" => opts.nodes = parse_int(flag, &value(flag)?)?,
             "--slots" => opts.slots = parse_int(flag, &value(flag)?)?,
-            "--duration" => opts.duration_secs = u64::from(parse_int(flag, &value(flag)?)?),
-            "--seed" => opts.seed = u64::from(parse_int(flag, &value(flag)?)?),
+            "--duration" => {
+                opts.duration_secs = u64::from(parse_int::<u32>(flag, &value(flag)?)?);
+            }
+            "--seed" => opts.seed = parse_int(flag, &value(flag)?)?,
             "--csv" => opts.csv = Some(value(flag)?),
             "--trace" => opts.trace = Some(value(flag)?),
             "--trace-filter" => {
@@ -313,7 +315,7 @@ where
                 opts.trace_filter = Some(spec);
             }
             "--trace-sample" => {
-                opts.trace_sample = u64::from(parse_int(flag, &value(flag)?)?);
+                opts.trace_sample = u64::from(parse_int::<u32>(flag, &value(flag)?)?);
                 if opts.trace_sample == 0 {
                     return Err(ParseError("--trace-sample must be positive".to_owned()));
                 }
@@ -333,7 +335,7 @@ where
                 }
             }
             "--heartbeat" => {
-                opts.heartbeat_secs = u64::from(parse_int(flag, &value(flag)?)?);
+                opts.heartbeat_secs = u64::from(parse_int::<u32>(flag, &value(flag)?)?);
                 if opts.heartbeat_secs == 0 {
                     return Err(ParseError("--heartbeat must be positive".to_owned()));
                 }
@@ -394,7 +396,7 @@ fn parse_positive(flag: &str, v: &str) -> Result<f64, ParseError> {
     }
 }
 
-fn parse_int(flag: &str, v: &str) -> Result<u32, ParseError> {
+fn parse_int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, ParseError> {
     v.parse()
         .map_err(|_| ParseError(format!("{flag}: `{v}` is not an integer")))
 }
@@ -441,6 +443,17 @@ mod tests {
         assert_eq!(parse(args("table2")).unwrap(), Command::Table2);
         assert_eq!(parse(args("help")).unwrap(), Command::Help);
         assert_eq!(parse(Vec::<&str>::new()).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn seed_takes_the_full_u64_range() {
+        // `sweep` records per-trial seeds anywhere in u64; each must
+        // replay through `tstorm run --seed`.
+        let Command::Run(o) = parse(args("run --seed 18446744073709551615")).unwrap() else {
+            panic!("expected run");
+        };
+        assert_eq!(o.seed, u64::MAX);
+        assert!(parse(args("run --seed 18446744073709551616")).is_err());
     }
 
     #[test]

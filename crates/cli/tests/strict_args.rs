@@ -59,6 +59,11 @@ const MALFORMED: &[(&[&str], &str)] = &[
         "--gamma: `inf` must be finite and positive",
     ),
     (&["run", "--nodes", "0"], "must be positive"),
+    // Seeds span u64 (sweep records them so); one past it is junk.
+    (
+        &["run", "--seed", "18446744073709551616"],
+        "--seed: `18446744073709551616` is not an integer",
+    ),
     (
         &["run", "--batch-size", "0"],
         "--batch-size must be positive",

@@ -1,34 +1,22 @@
 //! System configuration — Table II of the paper, plus mode selection.
 
 use serde::{Deserialize, Serialize};
-use tstorm_sim::{ReassignMode, SimConfig};
+use tstorm_sim::SimConfig;
 use tstorm_types::{Result, SimTime, TStormError};
-
-/// Which load estimator the monitors use (Section IV-B's extension
-/// point: "other machine learning based estimation/prediction methods
-/// can be easily integrated").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum EstimatorKind {
-    /// The paper's EWMA, `Y ← αY + (1 − α)·Sample`.
-    Ewma,
-    /// Holt's linear (double exponential) smoothing with trend inertia
-    /// `beta` — anticipates load ramps instead of lagging them.
-    HoltLinear {
-        /// Trend smoothing coefficient in `[0, 1]`.
-        beta: f64,
-    },
-}
 
 /// Which system the run models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SystemMode {
     /// Plain Storm 0.8.2: the default round-robin scheduler runs once at
-    /// submission, there is no load monitoring, and re-assignments (if
-    /// ever submitted externally) kill and restart workers.
+    /// submission, there is no load monitoring, and re-assignments
+    /// (crash recovery) kill and restart the affected workers at the next
+    /// supervisor poll ([`tstorm_sim::Simulation::submit_assignment`]).
     StormDefault,
     /// T-Storm: modified initial assignment, load monitoring, periodic
     /// traffic-aware re-scheduling, overload fast path, and the smooth
-    /// re-assignment protocol.
+    /// re-assignment protocol, applied node by node as each supervisor
+    /// fetches its slice
+    /// ([`tstorm_sim::Simulation::apply_assignment_for_node`]).
     TStorm,
 }
 
@@ -39,8 +27,6 @@ pub struct TStormConfig {
     pub mode: SystemMode,
     /// Estimation coefficient α (Table II: 0.5).
     pub alpha: f64,
-    /// Load estimator family (default: the paper's EWMA).
-    pub estimator: EstimatorKind,
     /// Load monitoring and estimation period (Table II: 20 s).
     pub monitor_period: SimTime,
     /// Schedule fetching period of the custom scheduler (Table II: 10 s).
@@ -56,31 +42,10 @@ pub struct TStormConfig {
     /// Name of the scheduling algorithm the generator starts with
     /// (resolved through the hot-swap registry).
     pub scheduler: String,
-    /// Node CPU threshold for overload detection.
-    pub overload_cpu_threshold: f64,
-    /// Minimum tuple failures per monitoring window to raise overload.
-    pub overload_failure_threshold: u64,
-    /// Whether overload triggers an immediate schedule generation instead
-    /// of waiting for the next 300 s boundary.
-    pub overload_fast_path: bool,
-    /// Publish hysteresis: a periodically generated schedule is only
-    /// published when it reduces estimated inter-node traffic by at least
-    /// this fraction (or frees nodes without hurting traffic). Prevents
-    /// re-assignment churn from small estimate fluctuations; overload
-    /// recovery bypasses it.
-    pub improvement_threshold: f64,
-    /// Minimum gap between overload-triggered generations. While a
-    /// recovery assignment rolls out and the backlog drains, tuples keep
-    /// timing out; without a cooldown the fast path would regenerate (and
-    /// restart the rollout) on every monitoring window.
-    pub overload_cooldown: SimTime,
     /// Interval at which each node's supervisor heartbeats to Nimbus.
     /// Liveness is heartbeat-derived: Nimbus never observes node health
     /// directly, only this stream.
     pub heartbeat_period: SimTime,
-    /// Consecutive heartbeat periods a node may go silent before Nimbus
-    /// declares it dead and excludes it from scheduling.
-    pub heartbeat_miss_threshold: u32,
     /// Per-node jitter fraction applied to every supervisor fetch (and
     /// heartbeat) interval, in `[0, 1)`. Non-zero jitter staggers the
     /// nodes so a rollout is applied node by node rather than in one
@@ -96,20 +61,13 @@ impl Default for TStormConfig {
         Self {
             mode: SystemMode::TStorm,
             alpha: 0.5,
-            estimator: EstimatorKind::Ewma,
             monitor_period: SimTime::from_secs(20),
             fetch_period: SimTime::from_secs(10),
             generation_period: SimTime::from_secs(300),
             gamma: 1.0,
             capacity_fraction: 0.9,
             scheduler: "t-storm".to_owned(),
-            overload_cpu_threshold: 0.95,
-            overload_failure_threshold: 1,
-            overload_fast_path: true,
-            improvement_threshold: 0.1,
-            overload_cooldown: SimTime::from_secs(60),
             heartbeat_period: SimTime::from_secs(5),
-            heartbeat_miss_threshold: 3,
             fetch_jitter: 0.2,
             sim: SimConfig::default(),
         }
@@ -117,16 +75,10 @@ impl Default for TStormConfig {
 }
 
 impl TStormConfig {
-    /// Builder-style mode selection. Selecting
-    /// [`SystemMode::StormDefault`] also switches the simulator to
-    /// Storm's disruptive re-assignment semantics.
+    /// Builder-style mode selection.
     #[must_use]
     pub fn with_mode(mut self, mode: SystemMode) -> Self {
         self.mode = mode;
-        self.sim.reassign.mode = match mode {
-            SystemMode::StormDefault => ReassignMode::Immediate,
-            SystemMode::TStorm => ReassignMode::Smooth,
-        };
         self
     }
 
@@ -163,22 +115,8 @@ impl TStormConfig {
                 "must be within [0, 1]",
             ));
         }
-        if let EstimatorKind::HoltLinear { beta } = self.estimator {
-            if !(0.0..=1.0).contains(&beta) {
-                return Err(TStormError::invalid_config(
-                    "estimator.beta",
-                    "must be within [0, 1]",
-                ));
-            }
-        }
         if self.gamma <= 0.0 || !self.gamma.is_finite() {
             return Err(TStormError::invalid_config("gamma", "must be positive"));
-        }
-        if !(0.0..1.0).contains(&self.improvement_threshold) {
-            return Err(TStormError::invalid_config(
-                "improvement_threshold",
-                "must be within [0, 1)",
-            ));
         }
         if self.capacity_fraction <= 0.0 || self.capacity_fraction > 1.0 {
             return Err(TStormError::invalid_config(
@@ -199,12 +137,6 @@ impl TStormConfig {
             return Err(TStormError::invalid_config(
                 "heartbeat_period",
                 "must be non-zero",
-            ));
-        }
-        if self.heartbeat_miss_threshold == 0 {
-            return Err(TStormError::invalid_config(
-                "heartbeat_miss_threshold",
-                "must be at least 1",
             ));
         }
         if !(0.0..1.0).contains(&self.fetch_jitter) {
@@ -232,14 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn storm_mode_uses_immediate_reassignment() {
-        let c = TStormConfig::default().with_mode(SystemMode::StormDefault);
-        assert_eq!(c.sim.reassign.mode, ReassignMode::Immediate);
-        let c2 = c.with_mode(SystemMode::TStorm);
-        assert_eq!(c2.sim.reassign.mode, ReassignMode::Smooth);
-    }
-
-    #[test]
     fn validation_rejects_bad_values() {
         assert!(TStormConfig::default().with_gamma(0.0).validate().is_err());
         let c = TStormConfig {
@@ -263,25 +187,9 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = TStormConfig {
-            heartbeat_miss_threshold: 0,
-            ..TStormConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = TStormConfig {
             fetch_jitter: 1.0,
             ..TStormConfig::default()
         };
-        assert!(c.validate().is_err());
-    }
-
-    #[test]
-    fn estimator_beta_is_validated() {
-        let mut c = TStormConfig {
-            estimator: EstimatorKind::HoltLinear { beta: 0.4 },
-            ..TStormConfig::default()
-        };
-        assert!(c.validate().is_ok());
-        c.estimator = EstimatorKind::HoltLinear { beta: 1.5 };
         assert!(c.validate().is_err());
     }
 

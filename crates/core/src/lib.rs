@@ -65,7 +65,7 @@ pub mod supervisor;
 pub mod system;
 pub mod timeline;
 
-pub use config::{EstimatorKind, SystemMode, TStormConfig};
+pub use config::{SystemMode, TStormConfig};
 pub use nimbus::{ControlStats, Nimbus};
 pub use store::{ScheduleStore, StoredSchedule};
 pub use supervisor::{HeartbeatOutcome, Supervisor};

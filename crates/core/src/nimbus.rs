@@ -14,6 +14,10 @@ use tstorm_cluster::{Assignment, ClusterSpec, VersionedAssignment};
 use tstorm_sched::{SchedulerRegistry, SchedulingInput, SwappableScheduler};
 use tstorm_types::{NodeId, Result, SimTime};
 
+/// Consecutive heartbeat periods a node may go silent before Nimbus
+/// declares it dead and excludes it from scheduling.
+pub const HEARTBEAT_MISS_THRESHOLD: u32 = 3;
+
 /// Nimbus's record of a node it has declared dead.
 #[derive(Debug, Clone, Copy)]
 struct DeadNode {
@@ -205,13 +209,13 @@ impl Nimbus {
     }
 
     /// Sweeps the heartbeat table and declares dead every node whose
-    /// silence has reached `miss_threshold` heartbeat periods. Call only
-    /// while Nimbus is up — a crashed Nimbus declares nothing.
+    /// silence has reached [`HEARTBEAT_MISS_THRESHOLD`] heartbeat
+    /// periods. Call only while Nimbus is up — a crashed Nimbus declares
+    /// nothing.
     pub fn update_liveness(
         &mut self,
         now: SimTime,
         heartbeat_period: SimTime,
-        miss_threshold: u32,
     ) -> Vec<DeadDeclaration> {
         let mut declared = Vec::new();
         let period = heartbeat_period.as_micros();
@@ -221,7 +225,7 @@ impl Nimbus {
             }
             let silence = now.as_micros().saturating_sub(last.as_micros());
             let missed = (silence / period) as u32;
-            if missed >= miss_threshold {
+            if missed >= HEARTBEAT_MISS_THRESHOLD {
                 self.dead[i] = Some(DeadNode {
                     declared_at: now,
                     reassigned: false,
@@ -304,23 +308,21 @@ mod tests {
         let period = SimTime::from_secs(5);
         // t=30s, node 1 heartbeated at 28s; others silent since 0.
         n.record_heartbeat(NodeId::new(1), SimTime::from_secs(28), false);
-        let declared = n.update_liveness(SimTime::from_secs(30), period, 3);
+        let declared = n.update_liveness(SimTime::from_secs(30), period);
         let ids: Vec<u32> = declared.iter().map(|d| d.node.index()).collect();
         assert_eq!(ids, vec![0, 2]);
         assert!(declared.iter().all(|d| d.missed >= 3));
         assert!(n.is_declared_dead(NodeId::new(0)));
         assert!(!n.is_declared_dead(NodeId::new(1)));
         // Already-declared nodes are not re-declared.
-        assert!(n
-            .update_liveness(SimTime::from_secs(35), period, 3)
-            .is_empty());
+        assert!(n.update_liveness(SimTime::from_secs(35), period).is_empty());
     }
 
     #[test]
     fn reconciliation_flags_false_positive_only_after_reassignment() {
         let mut n = nimbus(2);
         let period = SimTime::from_secs(5);
-        let _ = n.update_liveness(SimTime::from_secs(20), period, 3);
+        let _ = n.update_liveness(SimTime::from_secs(20), period);
         assert!(n.is_declared_dead(NodeId::new(0)));
 
         // Node 0: heartbeats resume before any publish — benign.
@@ -343,7 +345,7 @@ mod tests {
     #[test]
     fn genuine_restart_is_not_a_false_positive() {
         let mut n = nimbus(1);
-        let _ = n.update_liveness(SimTime::from_secs(20), SimTime::from_secs(5), 3);
+        let _ = n.update_liveness(SimTime::from_secs(20), SimTime::from_secs(5));
         n.note_publish();
         // The supervisor reports the node really was down.
         let rec = n
@@ -360,7 +362,7 @@ mod tests {
         // Ground truth: node 0 crashed. Belief: node 1 is dead.
         cluster.set_node_live(NodeId::new(0), false);
         n.record_heartbeat(NodeId::new(0), SimTime::from_secs(19), false);
-        let _ = n.update_liveness(SimTime::from_secs(20), SimTime::from_secs(5), 3);
+        let _ = n.update_liveness(SimTime::from_secs(20), SimTime::from_secs(5));
         assert!(n.is_declared_dead(NodeId::new(1)));
         n.apply_liveness_view(&mut cluster);
         assert!(

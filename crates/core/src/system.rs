@@ -12,7 +12,7 @@
 //!   jittered, phase-staggered timers — a rollout is *not* atomic, and
 //!   different nodes briefly run different assignment epochs.
 
-use crate::config::{EstimatorKind, SystemMode, TStormConfig};
+use crate::config::{SystemMode, TStormConfig};
 use crate::nimbus::{ControlStats, Nimbus, Reconciliation};
 use crate::store::ScheduleStore;
 use crate::supervisor::{HeartbeatOutcome, Supervisor};
@@ -20,7 +20,7 @@ use crate::timeline::ControlEvent;
 use std::collections::{BTreeMap, BTreeSet};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_metrics::RunReport;
-use tstorm_monitor::{HoltLinearEstimator, LoadMonitor, OverloadDetector, WindowSnapshot};
+use tstorm_monitor::{LoadMonitor, OverloadDetector, WindowSnapshot};
 use tstorm_sched::{
     AssignmentQuality, ExecutorInfo, RoundRobinScheduler, SchedParams, ScheduleExplanation,
     Scheduler, SchedulerRegistry, SchedulingInput,
@@ -32,6 +32,20 @@ use tstorm_trace::{FlightRecorder, Observer, TraceEvent};
 use tstorm_types::{
     AssignmentId, ComponentId, ExecutorId, NodeId, Result, SimTime, TStormError, TopologyId,
 };
+
+/// Publish hysteresis: a periodically generated schedule is only
+/// published when it reduces estimated inter-node traffic by at least
+/// this fraction (or frees nodes without hurting traffic). Prevents
+/// re-assignment churn from small estimate fluctuations; overload
+/// recovery bypasses it.
+const IMPROVEMENT_THRESHOLD: f64 = 0.1;
+
+/// Minimum gap between overload-triggered generations (and between
+/// crash-recovery retries). While a recovery assignment rolls out and
+/// the backlog drains, tuples keep timing out; without a cooldown the
+/// fast path would regenerate (and restart the rollout) on every
+/// monitoring window.
+const OVERLOAD_COOLDOWN: SimTime = SimTime::from_secs(60);
 
 /// A running T-Storm (or plain Storm) deployment over the simulator.
 ///
@@ -110,20 +124,8 @@ impl TStormSystem {
             SystemMode::TStorm => config.scheduler.as_str(),
         };
         let nimbus = Nimbus::new(registry, initial, cluster.num_nodes())?;
-        let detector = OverloadDetector::new(
-            config.overload_cpu_threshold,
-            config.overload_failure_threshold,
-        );
         let sim = Simulation::new(cluster.clone(), config.sim);
-        let alpha = config.alpha;
-        let monitor = match config.estimator {
-            EstimatorKind::Ewma => LoadMonitor::new(alpha),
-            EstimatorKind::HoltLinear { beta } => {
-                LoadMonitor::with_estimator(Box::new(move || {
-                    Box::new(HoltLinearEstimator::new(alpha, beta))
-                }))
-            }
-        };
+        let monitor = LoadMonitor::new(config.alpha);
         let num_nodes = cluster.num_nodes();
         let supervisors = cluster
             .nodes()
@@ -141,7 +143,7 @@ impl TStormSystem {
             .collect();
         Ok(Self {
             monitor,
-            detector,
+            detector: OverloadDetector::default(),
             nimbus,
             store: ScheduleStore::new(),
             supervisors,
@@ -623,10 +625,10 @@ impl TStormSystem {
 
         self.sweep_liveness()?;
 
-        if self.config.mode == SystemMode::TStorm && self.config.overload_fast_path {
+        if self.config.mode == SystemMode::TStorm {
             let cooled_down = self
                 .last_overload_generate
-                .is_none_or(|t| self.sim.now() >= t + self.config.overload_cooldown);
+                .is_none_or(|t| self.sim.now() >= t + OVERLOAD_COOLDOWN);
             if cooled_down {
                 let report = self.detector.inspect(
                     self.monitor.db(),
@@ -674,22 +676,21 @@ impl TStormSystem {
         Ok(())
     }
 
-    /// Nimbus's liveness sweep: any node silent for the configured
-    /// number of heartbeat periods is declared dead and a forced
-    /// generation moves its executors to the surviving nodes. The
-    /// declaration is new information, so it bypasses the recovery
-    /// cooldown. A crashed Nimbus declares nothing — liveness freezes
-    /// for the duration of the outage.
+    /// Nimbus's liveness sweep: any node silent for
+    /// [`HEARTBEAT_MISS_THRESHOLD`](crate::nimbus::HEARTBEAT_MISS_THRESHOLD)
+    /// heartbeat periods is declared dead and a forced generation moves
+    /// its executors to the surviving nodes. The declaration is new
+    /// information, so it bypasses the recovery cooldown. A crashed
+    /// Nimbus declares nothing — liveness freezes for the duration of
+    /// the outage.
     fn sweep_liveness(&mut self) -> Result<()> {
         if self.sim.nimbus_down() {
             return Ok(());
         }
         let now = self.sim.now();
-        let declared = self.nimbus.update_liveness(
-            now,
-            self.config.heartbeat_period,
-            self.config.heartbeat_miss_threshold,
-        );
+        let declared = self
+            .nimbus
+            .update_liveness(now, self.config.heartbeat_period);
         if declared.is_empty() {
             return Ok(());
         }
@@ -742,7 +743,7 @@ impl TStormSystem {
         // tick while workers start and the backlog drains.
         let cooled_down = self
             .last_recovery_generate
-            .is_none_or(|t| self.sim.now() >= t + self.config.overload_cooldown);
+            .is_none_or(|t| self.sim.now() >= t + OVERLOAD_COOLDOWN);
         if !cooled_down {
             return Ok(());
         }
@@ -885,13 +886,13 @@ impl TStormSystem {
     /// Hysteresis: small estimate fluctuations flip the greedy's choices,
     /// and every published schedule costs a rollout (worker restarts,
     /// spout halt). A periodic schedule is published only when it cuts
-    /// estimated inter-node traffic by the configured fraction, or frees
+    /// estimated inter-node traffic by [`IMPROVEMENT_THRESHOLD`], or frees
     /// worker nodes without increasing traffic.
     fn is_improvement(&self, candidate: &Assignment, input: &SchedulingInput) -> bool {
         let current = AssignmentQuality::evaluate(self.sim.current_assignment(), input);
         let new = AssignmentQuality::evaluate(candidate, input);
-        let traffic_cut = current.inter_node_traffic
-            - current.inter_node_traffic * self.config.improvement_threshold;
+        let traffic_cut =
+            current.inter_node_traffic - current.inter_node_traffic * IMPROVEMENT_THRESHOLD;
         if new.inter_node_traffic < traffic_cut {
             return true;
         }

@@ -366,22 +366,3 @@ fn rebalance_changes_worker_count_at_runtime() {
     assert_eq!(system.simulation().failed(), 0);
     assert!(system.rebalance(&handle, 0).is_err());
 }
-
-#[test]
-fn holt_estimator_runs_the_system_end_to_end() {
-    use tstorm_core::EstimatorKind;
-    let p = ThroughputParams::small();
-    let topo = throughput::topology(&p).expect("valid");
-    let mut config = fast_config(SystemMode::TStorm, 1.7, 21);
-    config.estimator = EstimatorKind::HoltLinear { beta: 0.5 };
-    let mut system = TStormSystem::new(cluster10(), config).expect("valid");
-    let mut f = throughput::factory(&p, 7);
-    system.submit(&topo, &mut f).expect("submits");
-    system.start().expect("starts");
-    system.run_until(SimTime::from_secs(150)).expect("runs");
-    assert!(system.simulation().completed() > 1000);
-    // Estimates exist and are positive under the alternative estimator.
-    let loads = system.monitor().db().executor_loads();
-    assert!(!loads.is_empty());
-    assert!(loads.values().any(|l| l.get() > 0.0));
-}

@@ -2,6 +2,14 @@
 
 use serde::{Deserialize, Serialize};
 
+/// `αY + (1 − α)·Sample`: the one spelling of the update, shared by
+/// [`Ewma`] and the inline cells of [`crate::StatsDb`] so both round
+/// identically.
+#[inline]
+pub(crate) fn blend(alpha: f64, y: f64, sample: f64) -> f64 {
+    alpha * y + (1.0 - alpha) * sample
+}
+
 /// One EWMA-estimated parameter: `Y ← αY + (1 − α)·Sample`.
 ///
 /// "0 ≤ α ≤ 1 is the coefficient that determines how sensitive the value
@@ -43,7 +51,7 @@ impl Ewma {
     pub fn update(&mut self, sample: f64) -> f64 {
         let next = match self.value {
             None => sample,
-            Some(y) => self.alpha * y + (1.0 - self.alpha) * sample,
+            Some(y) => blend(self.alpha, y, sample),
         };
         self.value = Some(next);
         next

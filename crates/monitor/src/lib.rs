@@ -40,13 +40,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod estimator;
 pub mod ewma;
 pub mod overload;
 pub mod snapshot;
 pub mod statsdb;
 
-pub use estimator::{Estimator, EstimatorFactory, EwmaEstimator, HoltLinearEstimator};
 pub use ewma::Ewma;
 pub use overload::{OverloadDetector, OverloadReport};
 pub use snapshot::WindowSnapshot;
@@ -58,7 +56,7 @@ pub const DEFAULT_ALPHA: f64 = 0.5;
 /// The paper's load monitoring and estimation period (Table II).
 pub const DEFAULT_MONITOR_PERIOD_SECS: u64 = 20;
 
-/// The front door of the monitoring subsystem: applies estimator
+/// The front door of the monitoring subsystem: applies EWMA
 /// smoothing of window snapshots into a [`StatsDb`].
 #[derive(Debug)]
 pub struct LoadMonitor {
@@ -77,16 +75,6 @@ impl LoadMonitor {
     pub fn new(alpha: f64) -> Self {
         Self {
             db: StatsDb::new(alpha),
-            observer: tstorm_trace::Observer::disabled(),
-        }
-    }
-
-    /// Creates a monitor with a custom per-parameter estimator — the
-    /// Section IV-B extension point (see [`estimator`]).
-    #[must_use]
-    pub fn with_estimator(factory: EstimatorFactory) -> Self {
-        Self {
-            db: StatsDb::with_estimator(factory),
             observer: tstorm_trace::Observer::disabled(),
         }
     }

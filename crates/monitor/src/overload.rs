@@ -13,6 +13,13 @@ use serde::{Deserialize, Serialize};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_types::{Mhz, NodeId};
 
+/// Node CPU threshold for overload detection, as a fraction of the
+/// node's capacity.
+pub const OVERLOAD_CPU_THRESHOLD: f64 = 0.95;
+
+/// Minimum tuple failures per monitoring window to raise overload.
+pub const OVERLOAD_FAILURE_THRESHOLD: u64 = 1;
+
 /// What the detector found in one inspection.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct OverloadReport {
@@ -34,18 +41,19 @@ impl OverloadReport {
 /// failure counter.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OverloadDetector {
-    /// Fraction of node capacity treated as overload (default 0.95).
+    /// Fraction of node capacity treated as overload (default
+    /// [`OVERLOAD_CPU_THRESHOLD`]).
     pub cpu_threshold: f64,
     /// Minimum failures per window to raise the failure signal
-    /// (default 1).
+    /// (default [`OVERLOAD_FAILURE_THRESHOLD`]).
     pub failure_threshold: u64,
 }
 
 impl Default for OverloadDetector {
     fn default() -> Self {
         Self {
-            cpu_threshold: 0.95,
-            failure_threshold: 1,
+            cpu_threshold: OVERLOAD_CPU_THRESHOLD,
+            failure_threshold: OVERLOAD_FAILURE_THRESHOLD,
         }
     }
 }

@@ -8,70 +8,14 @@
 //! Storage is index-addressed and sparse: workloads live in a dense
 //! vector indexed by executor id (ids are minted sequentially), and
 //! pair traffic lives in a deterministic Fx map keyed by the packed
-//! pair id. The default EWMA path stores its state inline as one `f64`
-//! per cell — no per-pair `Box<dyn Estimator>` allocations — while the
-//! custom-estimator extension point of Section IV-B boxes only when a
-//! non-default factory is installed.
+//! pair id. Each estimate is a bare `f64` — the EWMA's `Y`, already
+//! initialised by its first sample — so a traffic entry is 16 bytes.
 
-use crate::estimator::{Estimator, EstimatorFactory};
+use crate::ewma::blend;
 use crate::snapshot::WindowSnapshot;
 use std::collections::{BTreeMap, BTreeSet};
 use tstorm_sched::TrafficMatrix;
 use tstorm_types::{ExecutorId, FxHashMap, FxHashSet, Mhz};
-
-/// How estimates are smoothed: the paper's EWMA inline (the default,
-/// allocation-free per cell) or a custom estimator factory.
-enum Smoothing {
-    /// `Y ← αY + (1 − α)·Sample`, state held inline in each cell.
-    Ewma { alpha: f64 },
-    /// One boxed estimator per cell from the given factory.
-    Custom(EstimatorFactory),
-}
-
-/// One smoothed parameter's state: 16 bytes, so a traffic entry is 24.
-enum Cell {
-    /// Inline EWMA estimate (already initialised by its first sample).
-    Ewma(f64),
-    /// Custom estimator instance, behind a thin pointer (a bare
-    /// `Box<dyn Estimator>` is two words and would grow every cell by
-    /// half at a million tracked pairs).
-    Custom(Box<Box<dyn Estimator>>),
-}
-
-impl Cell {
-    fn fresh(smoothing: &Smoothing, sample: f64) -> Self {
-        match smoothing {
-            // The first sample initialises Y directly (see [`crate::Ewma`]).
-            Smoothing::Ewma { .. } => Cell::Ewma(sample),
-            Smoothing::Custom(factory) => {
-                let mut est = factory();
-                est.update(sample);
-                Cell::Custom(Box::new(est))
-            }
-        }
-    }
-
-    fn update(&mut self, smoothing: &Smoothing, sample: f64) {
-        match (self, smoothing) {
-            (Cell::Ewma(y), Smoothing::Ewma { alpha }) => {
-                *y = alpha * *y + (1.0 - alpha) * sample;
-            }
-            (Cell::Custom(est), _) => {
-                est.update(sample);
-            }
-            // A database never mixes cell kinds: cells are only minted by
-            // its own smoothing mode.
-            (Cell::Ewma(_), Smoothing::Custom(_)) => unreachable!("ewma cell in custom db"),
-        }
-    }
-
-    fn get(&self) -> Option<f64> {
-        match self {
-            Cell::Ewma(y) => Some(*y),
-            Cell::Custom(est) => est.get(),
-        }
-    }
-}
 
 /// Packs a directed executor pair into one map key whose numeric order
 /// equals (`from`, then `to`) order.
@@ -89,18 +33,14 @@ fn unpack_pair(key: u64) -> (ExecutorId, ExecutorId) {
 }
 
 /// Smoothed workload and traffic estimates for every executor and
-/// executor pair observed so far.
-///
-/// Estimation defaults to the paper's EWMA but accepts any
-/// [`Estimator`] through [`StatsDb::with_estimator`] — the "other
-/// estimation/prediction methods can be easily integrated" extension
-/// point of Section IV-B.
+/// executor pair observed so far, under the paper's EWMA
+/// `Y ← αY + (1 − α)·Sample`.
 pub struct StatsDb {
-    smoothing: Smoothing,
-    /// Workload cells indexed by dense executor id; `None` = unknown.
-    workloads: Vec<Option<Cell>>,
-    /// Traffic cells keyed by the packed pair id.
-    traffic: FxHashMap<u64, Cell>,
+    alpha: f64,
+    /// Workload estimates indexed by dense executor id; `None` = unknown.
+    workloads: Vec<Option<f64>>,
+    /// Traffic estimates keyed by the packed pair id.
+    traffic: FxHashMap<u64, f64>,
     windows_ingested: u64,
 }
 
@@ -128,18 +68,7 @@ impl StatsDb {
             "alpha must be within [0, 1], got {alpha}"
         );
         Self {
-            smoothing: Smoothing::Ewma { alpha },
-            workloads: Vec::new(),
-            traffic: FxHashMap::default(),
-            windows_ingested: 0,
-        }
-    }
-
-    /// Creates an empty database using a custom estimator per parameter.
-    #[must_use]
-    pub fn with_estimator(factory: EstimatorFactory) -> Self {
-        Self {
-            smoothing: Smoothing::Custom(factory),
+            alpha,
             workloads: Vec::new(),
             traffic: FxHashMap::default(),
             windows_ingested: 0,
@@ -161,16 +90,15 @@ impl StatsDb {
             if idx >= self.workloads.len() {
                 self.workloads.resize_with(idx + 1, || None);
             }
-            match &mut self.workloads[idx] {
-                Some(cell) => cell.update(&self.smoothing, mhz.get()),
-                slot @ None => *slot = Some(Cell::fresh(&self.smoothing, mhz.get())),
-            }
+            // The first sample initialises Y directly (see [`crate::Ewma`]).
+            let y = &mut self.workloads[idx];
+            *y = Some(y.map_or(mhz.get(), |y| blend(self.alpha, y, mhz.get())));
             cpu_seen.insert(exec.index());
         }
-        for (idx, cell) in self.workloads.iter_mut().enumerate() {
-            if let Some(cell) = cell {
+        for (idx, y) in self.workloads.iter_mut().enumerate() {
+            if let Some(y) = y {
                 if !cpu_seen.contains(&(idx as u32)) {
-                    cell.update(&self.smoothing, 0.0);
+                    *y = blend(self.alpha, *y, 0.0);
                 }
             }
         }
@@ -180,16 +108,16 @@ impl StatsDb {
             let rate = tuples as f64 / snapshot.period().as_secs_f64();
             let key = pair_key(from, to);
             match self.traffic.get_mut(&key) {
-                Some(cell) => cell.update(&self.smoothing, rate),
+                Some(y) => *y = blend(self.alpha, *y, rate),
                 None => {
-                    self.traffic.insert(key, Cell::fresh(&self.smoothing, rate));
+                    self.traffic.insert(key, rate);
                 }
             }
             pair_seen.insert(key);
         }
-        for (key, cell) in &mut self.traffic {
+        for (key, y) in &mut self.traffic {
             if !pair_seen.contains(key) {
-                cell.update(&self.smoothing, 0.0);
+                *y = blend(self.alpha, *y, 0.0);
             }
         }
         self.windows_ingested += 1;
@@ -202,10 +130,7 @@ impl StatsDb {
         self.workloads
             .iter()
             .enumerate()
-            .filter_map(|(i, cell)| {
-                let v = cell.as_ref()?.get()?;
-                Some((ExecutorId::new(i as u32), Mhz::new(v.max(0.0))))
-            })
+            .filter_map(|(i, y)| Some((ExecutorId::new(i as u32), Mhz::new(y.as_ref()?.max(0.0)))))
             .collect()
     }
 
@@ -214,8 +139,8 @@ impl StatsDb {
     pub fn load_of(&self, executor: ExecutorId) -> Mhz {
         self.workloads
             .get(executor.as_usize())
-            .and_then(|cell| cell.as_ref())
-            .and_then(Cell::get)
+            .copied()
+            .flatten()
             .map_or(Mhz::ZERO, |v| Mhz::new(v.max(0.0)))
     }
 
@@ -230,7 +155,8 @@ impl StatsDb {
         live.extend(
             self.traffic
                 .iter()
-                .filter_map(|(key, cell)| Some((*key, cell.get().filter(|rate| *rate > 1e-9)?))),
+                .filter(|(_, rate)| **rate > 1e-9)
+                .map(|(key, rate)| (*key, *rate)),
         );
         // Packed keys sort in (from, to) order, so the matrix is built
         // from sorted input rather than by 10^6 random-order inserts.
@@ -246,8 +172,8 @@ impl StatsDb {
     /// Removes every estimate touching the given executor (topology
     /// killed / executor retired).
     pub fn forget_executor(&mut self, executor: ExecutorId) {
-        if let Some(cell) = self.workloads.get_mut(executor.as_usize()) {
-            *cell = None;
+        if let Some(y) = self.workloads.get_mut(executor.as_usize()) {
+            *y = None;
         }
         let id = executor.index();
         self.traffic
@@ -260,9 +186,9 @@ impl StatsDb {
     /// traffic pairs would otherwise keep steering the traffic-aware
     /// scheduler toward executors that no longer exist.
     pub fn retain_executors(&mut self, keep: &BTreeSet<ExecutorId>) {
-        for (idx, cell) in self.workloads.iter_mut().enumerate() {
-            if cell.is_some() && !keep.contains(&ExecutorId::new(idx as u32)) {
-                *cell = None;
+        for (idx, y) in self.workloads.iter_mut().enumerate() {
+            if y.is_some() && !keep.contains(&ExecutorId::new(idx as u32)) {
+                *y = None;
             }
         }
         self.traffic.retain(|key, _| {
@@ -288,7 +214,6 @@ impl StatsDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::HoltLinearEstimator;
     use tstorm_types::SimTime;
 
     fn e(i: u32) -> ExecutorId {
@@ -386,11 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn cells_stay_two_words() {
-        assert_eq!(std::mem::size_of::<Cell>(), 16);
-    }
-
-    #[test]
     fn unknown_executor_has_zero_load() {
         let db = StatsDb::new(0.5);
         assert_eq!(db.load_of(e(9)), Mhz::ZERO);
@@ -423,18 +343,6 @@ mod tests {
         assert_eq!(db.load_of(e(2)), Mhz::ZERO);
         assert!(db.executor_loads().contains_key(&e(0)));
         assert!(db.executor_loads().contains_key(&e(1)));
-    }
-
-    #[test]
-    fn custom_estimator_path_still_boxes_per_cell() {
-        let mut db =
-            StatsDb::with_estimator(Box::new(|| Box::new(HoltLinearEstimator::new(0.5, 0.5))));
-        db.ingest(&snap(&[(0, 8_000_000_000)], &[(0, 1, 4000)]));
-        assert!((db.load_of(e(0)).get() - 400.0).abs() < 1e-9);
-        assert!((db.traffic_matrix().get(e(0), e(1)) - 200.0).abs() < 1e-9);
-        // Second window exercises the custom update path (Holt ramps).
-        db.ingest(&snap(&[(0, 16_000_000_000)], &[(0, 1, 8000)]));
-        assert!(db.load_of(e(0)).get() > 600.0, "holt anticipates the ramp");
     }
 
     #[test]

@@ -73,33 +73,20 @@ impl Default for NetworkConfig {
     }
 }
 
-/// How a new assignment is rolled out when supervisors detect it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReassignMode {
-    /// Storm 0.8 semantics: affected workers are killed immediately and
-    /// restarted; queued and in-flight tuples to those workers are lost
-    /// (they will time out and may be replayed).
-    Immediate,
-    /// T-Storm semantics (Section IV-D): new workers start first, old
-    /// workers are shut down after a delay, spouts halt until bolts are
-    /// ready, and the per-slot dispatcher routes by assignment id — no
-    /// tuple loss.
-    Smooth,
-}
-
 /// Re-assignment timing parameters (Sections IV-C/IV-D).
+///
+/// Which rollout runs is fixed by the caller, not configured:
+/// [`crate::Simulation::submit_assignment`] is Storm 0.8's
+/// kill-and-restart at the next supervisor poll, and
+/// [`crate::Simulation::apply_assignment_for_node`] is T-Storm's smooth
+/// per-node switch.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ReassignConfig {
-    /// Rollout semantics.
-    pub mode: ReassignMode,
     /// How often supervisors check for a new assignment (paper: 10 s).
     pub supervisor_poll: SimTime,
     /// Time for a freshly started worker (JVM) to become ready.
     pub worker_startup: SimTime,
-    /// Smooth mode: how long old workers linger before shutdown
-    /// (paper: 20 s = 2 × the checking period).
-    pub old_worker_linger: SimTime,
-    /// Smooth mode: extra delay before spouts resume after the switch
+    /// Smooth switch: extra delay before spouts resume after the switch
     /// (paper: 10 s).
     pub spout_halt_extra: SimTime,
 }
@@ -107,22 +94,9 @@ pub struct ReassignConfig {
 impl Default for ReassignConfig {
     fn default() -> Self {
         Self {
-            mode: ReassignMode::Smooth,
             supervisor_poll: SimTime::from_secs(10),
             worker_startup: SimTime::from_secs(2),
-            old_worker_linger: SimTime::from_secs(20),
             spout_halt_extra: SimTime::from_secs(10),
-        }
-    }
-}
-
-impl ReassignConfig {
-    /// Storm-default rollout (kill and restart immediately).
-    #[must_use]
-    pub fn storm() -> Self {
-        Self {
-            mode: ReassignMode::Immediate,
-            ..Self::default()
         }
     }
 }
@@ -140,13 +114,12 @@ pub struct SimConfig {
     pub reassign: ReassignConfig,
     /// How long an idle spout waits before asking its source again.
     pub spout_idle_retry: SimTime,
-    /// Whether timed-out tuples are replayed from the spout.
-    pub replay_failed: bool,
     /// Maximum replays per spout tuple. Storm itself never gives up
     /// (`TOPOLOGY_MAX_SPOUT_PENDING` throttles but does not drop), so
     /// the default is effectively unbounded; scenarios can lower it to
-    /// bound runaway feedback. A tuple that exhausts its replays is
-    /// counted permanently failed and traced as `tuple_failed`.
+    /// bound runaway feedback, and `0` disables replay. A tuple that
+    /// exhausts its replays is counted permanently failed and traced as
+    /// `tuple_failed`.
     pub max_replays: u32,
     /// Transfer batching threshold: outbound tuples are coalesced per
     /// (source executor, destination executor) pair into one batch
@@ -166,7 +139,6 @@ impl Default for SimConfig {
             network: NetworkConfig::default(),
             reassign: ReassignConfig::default(),
             spout_idle_retry: SimTime::from_millis(5),
-            replay_failed: true,
             max_replays: u32::MAX,
             batch_size: 1,
         }
@@ -178,13 +150,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Builder-style re-assignment mode override.
-    #[must_use]
-    pub fn with_reassign_mode(mut self, mode: ReassignMode) -> Self {
-        self.reassign.mode = mode;
         self
     }
 
@@ -205,10 +170,8 @@ mod tests {
     fn defaults_match_paper_table_ii() {
         let c = SimConfig::default();
         assert_eq!(c.reassign.supervisor_poll, SimTime::from_secs(10));
-        assert_eq!(c.reassign.old_worker_linger, SimTime::from_secs(20));
         assert_eq!(c.reassign.spout_halt_extra, SimTime::from_secs(10));
         assert_eq!(c.network.nic_bits_per_sec, 1_000_000_000);
-        assert_eq!(c.reassign.mode, ReassignMode::Smooth);
     }
 
     #[test]
@@ -216,23 +179,13 @@ mod tests {
         // Storm replays until the tuple completes; the cap exists only
         // for scenarios that opt into bounded retries.
         let c = SimConfig::default();
-        assert!(c.replay_failed);
         assert_eq!(c.max_replays, u32::MAX);
     }
 
     #[test]
-    fn storm_reassign_is_immediate() {
-        assert_eq!(ReassignConfig::storm().mode, ReassignMode::Immediate);
-    }
-
-    #[test]
     fn builders_override() {
-        let c = SimConfig::default()
-            .with_seed(7)
-            .with_reassign_mode(ReassignMode::Immediate)
-            .with_batch_size(16);
+        let c = SimConfig::default().with_seed(7).with_batch_size(16);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.reassign.mode, ReassignMode::Immediate);
         assert_eq!(c.batch_size, 16);
     }
 

@@ -1,7 +1,7 @@
 //! The simulation engine: executors, workers, acking, timeouts,
 //! supervisors and metrics, driven by a deterministic event queue.
 
-use crate::config::{ReassignMode, SimConfig};
+use crate::config::SimConfig;
 use crate::event::{BatchEnvelope, Envelope, EnvelopeKind, Event, EventQueue};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::logic::ExecutorLogic;
@@ -429,8 +429,6 @@ pub struct Simulation {
     current: Assignment,
     /// Assignment submitted to Nimbus, not yet picked up by supervisors.
     pending: Option<Assignment>,
-    /// Smooth transition in progress: target assignment.
-    switching_to: Option<Assignment>,
     /// Per-node smooth transition in progress: the target assignment one
     /// node's supervisor is rolling out while its workers pre-start.
     /// Other nodes may be running a different epoch at the same time.
@@ -547,7 +545,6 @@ impl Simulation {
             clock_inversions: 0,
             current: Assignment::new(),
             pending: None,
-            switching_to: None,
             node_switching_to: vec![None; k],
             nimbus_down: false,
             heartbeat_muted: vec![false; k],
@@ -804,15 +801,20 @@ impl Simulation {
     }
 
     /// Submits a new assignment to Nimbus; supervisors pick it up at their
-    /// next poll and roll it out per the configured
-    /// [`ReassignMode`] setting.
+    /// next poll and roll it out with Storm 0.8's kill-and-restart: every
+    /// worker whose executor set changed is killed and restarted, and
+    /// its queued and in-flight tuples are lost.
     pub fn submit_assignment(&mut self, assignment: &Assignment) {
         self.pending = Some(assignment.clone());
     }
 
     /// Applies the slice of `target` that one node's supervisor is
     /// responsible for, leaving every other node on whatever epoch it
-    /// last applied — the per-node half of a staggered rollout.
+    /// last applied — the per-node half of a staggered rollout, with
+    /// T-Storm's smooth switch (Section IV-D, scoped to one node): the
+    /// node's new workers pre-start, every spout halts until they are
+    /// ready, and the node's locations switch in one step once the
+    /// startup delay elapses, so no tuple is lost.
     ///
     /// The node picks up executors whose *new* slot lives on it
     /// (including executors currently unplaced or hosted elsewhere) and
@@ -830,10 +832,15 @@ impl Simulation {
             return false;
         }
         self.reassignments += 1;
-        match self.config.reassign.mode {
-            ReassignMode::Immediate => self.node_rollout_immediate(node, target),
-            ReassignMode::Smooth => self.node_rollout_smooth(node, target),
+        let switch_at = self.clock + self.config.reassign.worker_startup;
+        let resume_at = switch_at + self.config.reassign.spout_halt_extra;
+        for e in &mut self.executors {
+            if e.is_spout && e.alive {
+                e.spout_halt_until = e.spout_halt_until.max(resume_at);
+            }
         }
+        self.node_switching_to[node.as_usize()] = Some(target.clone());
+        self.queue.push(switch_at, Event::NodeLocationSwitch(node));
         true
     }
 
@@ -867,71 +874,6 @@ impl Simulation {
         } else {
             Some((incoming, retired))
         }
-    }
-
-    /// Immediate-mode per-node apply: the node's supervisor kills and
-    /// restarts the affected workers right away; their queued work is
-    /// lost (Storm 0.8 semantics, but scoped to one node).
-    fn node_rollout_immediate(&mut self, node: NodeId, target: &Assignment) {
-        let Some((incoming, retired)) = self.node_slice_changes(node, target) else {
-            return;
-        };
-        let before = self.current.clone();
-        let old_slots = before.slots_used();
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for &(id, slot) in &incoming {
-            let i = id.as_usize();
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = Some(slot);
-            e.paused_until = Some(ready_at);
-            self.current.assign(id, slot);
-            self.queue.push(ready_at, Event::ExecutorResume(id));
-        }
-        for &id in &retired {
-            let i = id.as_usize();
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = None;
-            e.paused_until = None;
-            self.current.unassign(id);
-        }
-        let diff = before.diff(&self.current);
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    /// Smooth-mode per-node apply (Section IV-D, scoped to one node):
-    /// the node's new workers pre-start, every spout halts until they
-    /// are ready, and the node's locations switch in one step once the
-    /// startup delay elapses.
-    fn node_rollout_smooth(&mut self, node: NodeId, target: &Assignment) {
-        let switch_at = self.clock + self.config.reassign.worker_startup;
-        let resume_at = switch_at + self.config.reassign.spout_halt_extra;
-        for e in &mut self.executors {
-            if e.is_spout && e.alive {
-                e.spout_halt_until = e.spout_halt_until.max(resume_at);
-            }
-        }
-        self.node_switching_to[node.as_usize()] = Some(target.clone());
-        self.queue.push(switch_at, Event::NodeLocationSwitch(node));
     }
 
     /// One node's smooth switch fires: apply its pending slice. The
@@ -1347,7 +1289,6 @@ impl Simulation {
             Event::ProcessDone(id) => self.on_process_done(id),
             Event::TupleTimeout(root) => self.on_timeout(root),
             Event::SupervisorPoll => self.on_supervisor_poll(),
-            Event::LocationSwitch => self.on_location_switch(),
             Event::ExecutorResume(id) => self.on_resume(id),
             Event::WorkerReady(_) => {}
             Event::WorkerFailure { slot, recoverable } => {
@@ -1623,13 +1564,6 @@ impl Simulation {
             None
         };
 
-        // Retaining the payload for replay is a refcount bump — the
-        // root and every routed envelope share one allocation.
-        let stored_values = if self.config.replay_failed {
-            values.clone()
-        } else {
-            self.empty_values.clone()
-        };
         let emit_at = self.clock;
         let component = self.executors[idx].component;
         // Insert before routing so envelopes can carry the slab handle;
@@ -1641,7 +1575,9 @@ impl Simulation {
             emit_at,
             xor: 0,
             init_seen: false,
-            values: stored_values,
+            // Retaining the payload for replay is a refcount bump — the
+            // root and every routed envelope share one allocation.
+            values: values.clone(),
             replays,
             acker,
             outstanding: 0,
@@ -2127,13 +2063,13 @@ impl Simulation {
         }
     }
 
-    /// Ships one batch: a single event-queue entry and a single network
-    /// [`Network::batch_delivery_time`] computation carry every staged
-    /// tuple. The hop is re-classified from the endpoints' *current*
-    /// placement (a smooth rollout may have moved them since staging),
-    /// and each tuple's network span segment covers its own
-    /// `staged_at → delivery` interval so critical-path components keep
-    /// summing to root latency exactly.
+    /// Ships one batch: a single event-queue entry and a single
+    /// [`Network::delivery_time`] computation on the summed payload
+    /// carry every staged tuple. The hop is re-classified from the
+    /// endpoints' *current* placement (a smooth rollout may have moved
+    /// them since staging), and each tuple's network span segment
+    /// covers its own `staged_at → delivery` interval so critical-path
+    /// components keep summing to root latency exactly.
     fn flush_batch(&mut self, mut batch: Box<BatchEnvelope>) {
         let (Some(src_slot), Some(dst_slot)) = (
             self.executors[batch.src.as_usize()].location,
@@ -2158,7 +2094,7 @@ impl Simulation {
             HopClass::IntraWorker => 0,
             _ => self.workers_on_node[dst_node.as_usize()].saturating_sub(1),
         };
-        let at = self.network.batch_delivery_time(
+        let at = self.network.delivery_time(
             self.clock,
             hop,
             Bytes::new(batch.payload_bytes),
@@ -2362,10 +2298,7 @@ impl Simulation {
                 1,
             );
         });
-        if self.config.replay_failed
-            && root.replays < self.config.max_replays
-            && !root.values.is_empty()
-        {
+        if root.replays < self.config.max_replays && !root.values.is_empty() {
             let spout_idx = root.spout.as_usize();
             self.replays_triggered += 1;
             self.executors[spout_idx].replay_queue.push_back((
@@ -2388,7 +2321,7 @@ impl Simulation {
                 self.schedule_tick(root.spout, self.clock);
             }
         } else {
-            // No replay possible (disabled, or the cap is exhausted):
+            // No replay possible (the cap is exhausted, or is 0):
             // the tuple is permanently failed, not just late.
             self.perm_failed += 1;
             let replays = u64::from(root.replays);
@@ -2439,10 +2372,7 @@ impl Simulation {
             return;
         }
         self.reassignments += 1;
-        match self.config.reassign.mode {
-            ReassignMode::Immediate => self.rollout_immediate(&pending),
-            ReassignMode::Smooth => self.rollout_smooth(pending),
-        }
+        self.rollout_immediate(&pending);
     }
 
     /// Storm 0.8 semantics: supervisors kill every worker whose executor
@@ -2482,47 +2412,6 @@ impl Simulation {
         self.note_assignment_change(&old_slots, &diff);
         self.recompute_node_stats();
         self.record_usage();
-    }
-
-    /// T-Storm semantics (Section IV-D): new workers start first
-    /// (locations switch once they are ready), old workers linger so
-    /// nothing is lost, and spouts halt until bolts are ready.
-    fn rollout_smooth(&mut self, new: Assignment) {
-        let switch_at = self.clock + self.config.reassign.worker_startup;
-        let resume_at = switch_at + self.config.reassign.spout_halt_extra;
-        for e in &mut self.executors {
-            if e.is_spout {
-                e.spout_halt_until = resume_at;
-            }
-        }
-        self.switching_to = Some(new);
-        self.queue.push(switch_at, Event::LocationSwitch);
-    }
-
-    fn on_location_switch(&mut self) {
-        let Some(new) = self.switching_to.take() else {
-            return;
-        };
-        let old_slots = self.current.slots_used();
-        let diff = self.current.diff(&new);
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            self.executors[i].location = new.slot_of(id);
-        }
-        self.current = new;
-        self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-        // Kick everything awake under the new placement.
-        for i in 0..self.executors.len() {
-            let id = ExecutorId::new(i as u32);
-            if self.is_available(i) {
-                self.try_start(id);
-                if self.executors[i].is_spout {
-                    self.schedule_tick(id, self.executors[i].spout_halt_until);
-                }
-            }
-        }
     }
 
     fn on_worker_failure(&mut self, slot: SlotId, recoverable: bool) {

@@ -144,8 +144,6 @@ pub enum Event {
     TupleTimeout(SlabHandle),
     /// Supervisors poll for a new assignment.
     SupervisorPoll,
-    /// Smooth re-assignment: locations switch to the pending assignment.
-    LocationSwitch,
     /// An executor becomes available again (worker restarted/ready).
     ExecutorResume(ExecutorId),
     /// A worker slot becomes ready (initial start).

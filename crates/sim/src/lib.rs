@@ -15,11 +15,13 @@
 //!   the paper);
 //! * **reliability**: Storm's XOR ack tree with acker executors, the 30 s
 //!   tuple timeout, and replay from the originating spout (Observation 2);
-//! * **re-assignment**: supervisors polling for new assignments every
-//!   10 s, with either Storm semantics (kill & restart workers, in-flight
-//!   tuples lost) or T-Storm's smooth protocol (start new workers first,
-//!   delay old-worker shutdown, halt spouts until bolts are ready,
-//!   dispatcher keyed by assignment id → no tuple loss);
+//! * **re-assignment**: Storm semantics through
+//!   [`Simulation::submit_assignment`] (supervisors poll every 10 s, then
+//!   kill & restart the affected workers, in-flight tuples lost) or
+//!   T-Storm's smooth protocol through
+//!   [`Simulation::apply_assignment_for_node`] (one node's new workers
+//!   start first, spouts halt until they are ready, then the node's
+//!   executors relocate in one step → no tuple loss);
 //! * **metrics**: per-tuple completion latency (1-minute averages, the
 //!   paper's metric), failed-tuple counts, nodes/workers in use;
 //! * **faults**: a deterministic [`FaultPlan`] crashes workers or whole
@@ -72,7 +74,7 @@ pub mod logic;
 pub mod network;
 pub mod routing;
 
-pub use config::{CpuConfig, NetworkConfig, ReassignConfig, ReassignMode, SimConfig};
+pub use config::{CpuConfig, NetworkConfig, ReassignConfig, SimConfig};
 pub use engine::{EngineStats, ExecutorDescriptor, SimCounters, Simulation, TopologyHandle};
 pub use fault::{FaultEvent, FaultKind, FaultParseError, FaultPlan};
 pub use logic::{BoltLogic, ConstSpout, ExecutorLogic, IdentityBolt, SpoutLogic};

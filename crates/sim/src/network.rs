@@ -97,6 +97,13 @@ impl Network {
     /// Inter-node sends occupy the source NIC's tx timeline and the
     /// destination NIC's rx timeline for the transmission time, so heavy
     /// cross-node traffic queues at either end.
+    ///
+    /// A batch of coalesced messages travels as one frame: `payload` is
+    /// the summed tuple payloads, so the batch pays a **single**
+    /// `header_bytes` framing overhead, base hop latency and receiver
+    /// scheduling delay. That amortisation is the serialization cost
+    /// model that makes transfer batching pay: `n` tuples shipped
+    /// separately cost `n` of each; batched they cost one.
     pub fn delivery_time(
         &mut self,
         now: SimTime,
@@ -151,39 +158,6 @@ impl Network {
                 done + SimTime::from_micros(self.config.inter_node_micros) + sched
             }
         }
-    }
-
-    /// Computes when a *batch* of coalesced messages sent at `now`
-    /// arrives, given the summed payload bytes of its tuples.
-    ///
-    /// The whole batch travels as one frame: its wire cost is the
-    /// summed tuple payloads plus a **single** `header_bytes` framing
-    /// overhead, and it pays the base hop latency and the receiver's
-    /// scheduling delay once instead of once per tuple. That
-    /// amortisation is the serialization cost model that makes
-    /// transfer batching pay: `n` tuples shipped separately cost `n`
-    /// headers and `n` base latencies; batched they cost one of each.
-    ///
-    /// A batch of one tuple costs exactly what
-    /// [`Network::delivery_time`] charges for the same tuple, so the
-    /// batching layer never perturbs single-tuple timings.
-    pub fn batch_delivery_time(
-        &mut self,
-        now: SimTime,
-        hop: HopClass,
-        total_payload: Bytes,
-        src_node: NodeId,
-        dst_node: NodeId,
-        dst_extra_workers: u32,
-    ) -> SimTime {
-        self.delivery_time(
-            now,
-            hop,
-            total_payload,
-            src_node,
-            dst_node,
-            dst_extra_workers,
-        )
     }
 
     /// Resets NIC state (used between experiment repetitions).
@@ -363,26 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_of_one_costs_exactly_one_delivery() {
-        // The batching layer must never perturb single-tuple timings:
-        // a batch carrying one tuple arrives exactly when the plain
-        // per-tuple path would deliver it, on every hop class.
-        let now = SimTime::from_secs(1);
-        let p = Bytes::new(120);
-        for hop in [
-            HopClass::IntraWorker,
-            HopClass::InterProcess,
-            HopClass::InterNode,
-        ] {
-            let mut single = Network::new(NetworkConfig::default(), 2);
-            let mut batched = Network::new(NetworkConfig::default(), 2);
-            let a = single.delivery_time(now, hop, p, node(0), node(1), 1);
-            let b = batched.batch_delivery_time(now, hop, p, node(0), node(1), 1);
-            assert_eq!(a, b, "hop {hop:?} diverged");
-        }
-    }
-
-    #[test]
     fn batching_amortises_headers_and_base_latency() {
         // Eight 100-byte tuples cross-node: sent separately they pay
         // eight headers, eight base latencies and eight NIC slots;
@@ -396,7 +350,7 @@ mod tests {
             last = separate.delivery_time(now, HopClass::InterNode, per_tuple, node(0), node(1), 2);
         }
         let mut coalesced = Network::new(NetworkConfig::default(), 2);
-        let batch = coalesced.batch_delivery_time(
+        let batch = coalesced.delivery_time(
             now,
             HopClass::InterNode,
             Bytes::new(per_tuple.get() * n),

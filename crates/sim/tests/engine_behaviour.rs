@@ -5,8 +5,8 @@ use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_sim::{
-    BoltLogic, ConstSpout, ExecutorLogic, FaultPlan, IdentityBolt, ReassignMode, SimConfig,
-    Simulation, SpoutLogic,
+    BoltLogic, ConstSpout, ExecutorLogic, FaultPlan, IdentityBolt, SimConfig, Simulation,
+    SpoutLogic,
 };
 use tstorm_topology::{Grouping, Topology, TopologyBuilder, Value};
 use tstorm_types::{Mhz, NodeId, SimTime, SlotId};
@@ -160,7 +160,7 @@ fn observation2_overload_causes_timeouts_and_failures() {
         .build()
         .expect("valid");
     let config = SimConfig {
-        replay_failed: false,
+        max_replays: 0,
         ..SimConfig::default()
     };
     let mut sim = Simulation::new(cluster(1, 4), config);
@@ -198,7 +198,6 @@ fn replay_reemits_failed_tuples() {
         .build()
         .expect("valid");
     let config = SimConfig {
-        replay_failed: true,
         max_replays: 2,
         ..SimConfig::default()
     };
@@ -314,16 +313,18 @@ fn fields_grouping_partitions_words_across_executors() {
 
 #[test]
 fn smooth_reassignment_loses_nothing() {
-    let mut sim = Simulation::new(
-        cluster(2, 2),
-        SimConfig::default().with_reassign_mode(ReassignMode::Smooth),
-    );
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
     let mut f = identity_factory();
     sim.submit_topology(&chain_topology(1), &mut f);
     sim.apply_assignment(&all_on_slot(&sim, 0));
     sim.run_until(SimTime::from_secs(30));
-    // Move everything to a slot on the other node.
-    sim.submit_assignment(&all_on_slot(&sim, 2));
+    // Move everything to a slot on the other node, as every node's
+    // supervisor applies its slice: only the destination node changes.
+    let target = all_on_slot(&sim, 2);
+    let nodes: Vec<NodeId> = sim.cluster().nodes().iter().map(|n| n.id).collect();
+    for node in nodes {
+        sim.apply_assignment_for_node(node, &target);
+    }
     sim.run_until(SimTime::from_secs(120));
     assert_eq!(sim.reassignments(), 1);
     assert_eq!(sim.dropped_in_flight(), 0, "smooth mode must not drop");
@@ -336,10 +337,7 @@ fn smooth_reassignment_loses_nothing() {
 
 #[test]
 fn immediate_reassignment_drops_in_flight_work() {
-    let mut sim = Simulation::new(
-        cluster(2, 2),
-        SimConfig::default().with_reassign_mode(ReassignMode::Immediate),
-    );
+    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
     // Many spouts spread over both nodes: inter-node hops keep plenty of
     // messages in flight at the moment supervisors kill the workers.
     let topo = TopologyBuilder::new("chain")
@@ -753,10 +751,7 @@ fn tuple_conservation_invariant_holds() {
         }),
         Box::new(|| {
             // Disruptive re-assignment mid-run.
-            let mut sim = Simulation::new(
-                cluster(2, 2),
-                SimConfig::default().with_reassign_mode(ReassignMode::Immediate),
-            );
+            let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
             let mut f = identity_factory();
             sim.submit_topology(&chain_topology(1), &mut f);
             sim.apply_assignment(&spread_over(&sim, &[0, 2]));

@@ -6,9 +6,9 @@
 //! meta-seed, so failures are exactly reproducible (the failing case's
 //! seed is printed in the assertion message).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use tstorm::cluster::{Assignment, ClusterSpec};
-use tstorm::monitor::Ewma;
+use tstorm::monitor::{Ewma, StatsDb, WindowSnapshot};
 use tstorm::sched::{
     AssignmentQuality, ExecutorInfo, RoundRobinScheduler, SchedParams, Scheduler, SchedulingInput,
     TStormScheduler, TrafficMatrix,
@@ -16,7 +16,7 @@ use tstorm::sched::{
 use tstorm::sim::routing::select_tasks;
 use tstorm::topology::{Grouping, Value};
 use tstorm::types::rng::zipf_cdf;
-use tstorm::types::{ComponentId, DetRng, ExecutorId, Mhz, SlotId, TopologyId};
+use tstorm::types::{ComponentId, DetRng, ExecutorId, Mhz, SimTime, SlotId, TopologyId};
 
 const CASES: u64 = 128;
 
@@ -240,6 +240,76 @@ fn ewma_bounded_by_samples() {
                 y >= lo - 1e-9 && y <= hi + 1e-9,
                 "case {case}: estimate {y} outside [{lo}, {hi}]"
             );
+        }
+    }
+}
+
+/// The stats database smooths with exactly [`Ewma::update`]: fed the
+/// same samples, including windows where a key is absent (a zero
+/// sample), every workload and traffic estimate equals a standalone
+/// `Ewma`'s bit for bit.
+#[test]
+fn statsdb_matches_ewma_bit_for_bit() {
+    for case in 0..CASES {
+        let mut rng = DetRng::seed_from(0x5DB + case);
+        let alpha = rng.uniform();
+        let period = SimTime::from_secs(1 + rng.below(60) as u64);
+        let execs = 1 + rng.below(6);
+        let exec = |rng: &mut DetRng| ExecutorId::new(rng.below(execs) as u32);
+        let pairs: BTreeSet<(ExecutorId, ExecutorId)> = (0..1 + rng.below(8))
+            .map(|_| (exec(&mut rng), exec(&mut rng)))
+            .collect();
+        let mut db = StatsDb::new(alpha);
+        let mut loads: Vec<Option<Ewma>> = vec![None; execs];
+        let mut rates: BTreeMap<(ExecutorId, ExecutorId), Ewma> = BTreeMap::new();
+        for window in 0..1 + rng.below(40) {
+            let mut snap = WindowSnapshot::new(period);
+            for (i, load) in loads.iter_mut().enumerate() {
+                if rng.below(3) == 0 {
+                    // Absent from the window: the database feeds a zero.
+                    if let Some(y) = load {
+                        y.update(0.0);
+                    }
+                    continue;
+                }
+                let cycles = rng.next_u64() >> (16 + rng.below(48));
+                snap.record_cpu(ExecutorId::new(i as u32), cycles);
+                let sample = Mhz::from_cycles_over(cycles, period.as_micros()).get();
+                load.get_or_insert(Ewma::new(alpha)).update(sample);
+            }
+            for &pair in &pairs {
+                if rng.below(3) == 0 {
+                    if let Some(y) = rates.get_mut(&pair) {
+                        y.update(0.0);
+                    }
+                    continue;
+                }
+                let tuples = rng.next_u64() >> (32 + rng.below(32));
+                snap.record_traffic(pair.0, pair.1, tuples);
+                let sample = tuples as f64 / period.as_secs_f64();
+                rates.entry(pair).or_insert(Ewma::new(alpha)).update(sample);
+            }
+            db.ingest(&snap);
+
+            for (i, load) in loads.iter().enumerate() {
+                let want = load.and_then(|y| y.get()).unwrap_or(0.0);
+                let got = db.load_of(ExecutorId::new(i as u32)).get();
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "case {case} window {window} executor {i}: {got} vs {want}"
+                );
+            }
+            let want: Vec<(ExecutorId, ExecutorId, u64)> = rates
+                .iter()
+                .filter_map(|(&(f, t), y)| Some((f, t, y.get().filter(|r| *r > 1e-9)?.to_bits())))
+                .collect();
+            let got: Vec<(ExecutorId, ExecutorId, u64)> = db
+                .traffic_matrix()
+                .iter()
+                .map(|(f, t, r)| (f, t, r.to_bits()))
+                .collect();
+            assert_eq!(got, want, "case {case} window {window}");
         }
     }
 }
