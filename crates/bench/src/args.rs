@@ -1,15 +1,13 @@
-//! Strict command-line parsing shared by every figure binary.
+//! Strict parsing of the `[duration_secs] [seed]` positionals that
+//! `repro` targets take.
 //!
-//! The original binaries parsed positionals with
+//! The original figure binaries parsed positionals with
 //! `.and_then(|s| s.parse().ok()).unwrap_or(default)`, so a typo like
 //! `fig5 100O` silently ran the 1000 s default instead of erroring —
 //! an entire paper-scale run wasted on a malformed invocation. The
-//! parser here exits non-zero with a usage message on anything it does
-//! not understand.
+//! parser here reports anything it does not understand.
 
-use std::process::ExitCode;
-
-/// The `[duration_secs] [seed]` positionals every figure binary takes.
+/// The `[duration_secs] [seed]` positionals a `repro` target takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FigArgs {
     /// Virtual run length in seconds.
@@ -27,20 +25,6 @@ pub enum Parsed {
     Help,
     /// Malformed input: print the message, exit non-zero.
     Error(String),
-}
-
-/// Usage text for a binary taking the standard positionals.
-#[must_use]
-pub fn usage(bin: &str, default_duration: u64, default_seed: u64) -> String {
-    format!(
-        "usage: {bin} [duration_secs] [seed]\n\
-         \n\
-           duration_secs  virtual run length in seconds (default: {default_duration})\n\
-           seed           base RNG seed (default: {default_seed})\n\
-         \n\
-         Malformed values are rejected rather than silently replaced by\n\
-         their defaults."
-    )
 }
 
 /// Checks that a virtual duration fits the engine's clock, which counts
@@ -96,28 +80,6 @@ where
         duration_secs: values[0],
         seed: values[1],
     })
-}
-
-/// Entry-point helper: parses `std::env::args()` strictly and either
-/// returns the parsed values or the exit code the binary must return
-/// (0 for `--help`, 2 for malformed input, with usage on stderr).
-pub fn fig_args_or_exit(
-    bin: &str,
-    default_duration: u64,
-    default_seed: u64,
-) -> Result<FigArgs, ExitCode> {
-    match parse_fig_args(std::env::args().skip(1), default_duration, default_seed) {
-        Parsed::Ok(v) => Ok(v),
-        Parsed::Help => {
-            println!("{}", usage(bin, default_duration, default_seed));
-            Err(ExitCode::SUCCESS)
-        }
-        Parsed::Error(msg) => {
-            eprintln!("{bin}: {msg}");
-            eprintln!("{}", usage(bin, default_duration, default_seed));
-            Err(ExitCode::from(2))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -199,13 +161,5 @@ mod tests {
         assert!(matches!(parse(&["--frobnicate"]), Parsed::Error(_)));
         assert_eq!(parse(&["--help"]), Parsed::Help);
         assert_eq!(parse(&["-h"]), Parsed::Help);
-    }
-
-    #[test]
-    fn usage_names_the_binary_and_defaults() {
-        let u = usage("fig5", 1000, 42);
-        assert!(u.contains("fig5"));
-        assert!(u.contains("1000"));
-        assert!(u.contains("42"));
     }
 }

@@ -1,13 +1,14 @@
 //! Runners for every experiment in Section V of the paper.
 
+use tstorm_cli::scenario::{run_scenario, ScenarioOutcome, Topology};
+use tstorm_cli::RunOptions;
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
 use tstorm_metrics::{ComparisonRow, RunReport};
-use tstorm_sim::{FaultPlan, SimConfig, Simulation};
+use tstorm_sim::{SimConfig, Simulation};
 use tstorm_types::{Mhz, SimTime, SlotId};
 use tstorm_workloads::chain::{self, ChainParams};
 use tstorm_workloads::logstream::{self, LogStreamParams, LogStreamState};
-use tstorm_workloads::throughput::{self, ThroughputParams};
 use tstorm_workloads::wordcount::{self, WordCountParams, WordCountState};
 
 /// The paper's per-experiment running time (Table II): 1000 s.
@@ -24,13 +25,12 @@ pub const LOGSTREAM_LINES_PER_SEC: f64 = 800.0;
 /// Everything one experiment run produces.
 #[derive(Debug, Clone)]
 pub struct ExperimentOutcome {
-    /// Human-readable label (`"Storm"`, `"T-Storm (gamma=1.7)"`, …).
-    pub label: String,
-    /// The metrics report (1-minute series, failures, node usage).
+    /// The metrics report (1-minute series, failures, node usage),
+    /// labelled `"Storm"`, `"T-Storm (gamma=1.7)"`, ….
     pub report: RunReport,
     /// Overload detections that triggered the fast path.
     pub overload_events: u32,
-    /// Supervisor re-assignment rollouts.
+    /// Assignment changes applied ([`tstorm_sim::Simulation::reassignments`]).
     pub reassignments: u32,
     /// Tuples that timed out.
     pub failed: u64,
@@ -39,27 +39,34 @@ pub struct ExperimentOutcome {
 }
 
 impl ExperimentOutcome {
-    fn from_system(label: impl Into<String>, system: &TStormSystem) -> Self {
-        let label = label.into();
+    fn from_system(label: &str, system: &TStormSystem) -> Self {
         Self {
-            report: system.report(&label),
+            report: system.report(label),
             overload_events: system.overload_events(),
             reassignments: system.simulation().reassignments(),
             failed: system.simulation().failed(),
             completed: system.simulation().completed(),
-            label,
         }
     }
 
-    fn from_sim(label: impl Into<String>, sim: &Simulation) -> Self {
-        let label = label.into();
+    fn from_scenario(label: String, mut outcome: ScenarioOutcome) -> Self {
+        outcome.report.label = label;
         Self {
-            report: sim.report(&label),
+            report: outcome.report,
+            overload_events: outcome.overload_events,
+            reassignments: outcome.reassignments,
+            failed: outcome.failed,
+            completed: outcome.completed,
+        }
+    }
+
+    fn from_sim(label: &str, sim: &Simulation) -> Self {
+        Self {
+            report: sim.report(label),
             overload_events: 0,
             reassignments: sim.reassignments(),
             failed: sim.failed(),
             completed: sim.completed(),
-            label,
         }
     }
 }
@@ -165,7 +172,7 @@ pub fn fig3(duration_secs: u64, seed: u64) -> ExperimentOutcome {
 // ---------------------------------------------------------------------
 
 /// The three full applications of Section V, runnable through one shared
-/// entry point ([`run_app`]) by both the per-figure binaries and the
+/// entry point ([`run_app`]) by both the `repro` targets and the
 /// multi-seed sweep harness.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AppWorkload {
@@ -200,15 +207,21 @@ impl AppWorkload {
     }
 }
 
-/// Runs one application end-to-end on the paper testbed under the given
-/// system/γ/seed, with an optional deterministic fault plan — the shared
-/// scenario runner behind [`fig5`], [`fig6`], [`fig8`] and the sweep
-/// harness.
+/// Runs one application end-to-end on the paper testbed (Table II
+/// settings, the paper's input rates) under the given system/γ/seed,
+/// with optional fault specs — the runner behind Figs. 5, 6 and 8, the
+/// [`headline`] rows and the sweep harness. It builds the run through
+/// [`run_scenario`], the same path `tstorm run` takes.
 ///
 /// The system (and the simulator inside it) is constructed, driven and
 /// dropped entirely within the calling thread; only the returned
 /// [`ExperimentOutcome`] (plain owned data) crosses thread boundaries
 /// in multi-threaded callers.
+///
+/// # Panics
+///
+/// Panics if a fault spec is malformed or targets a node the cluster
+/// lacks; callers validate specs first.
 #[must_use]
 pub fn run_app(
     workload: AppWorkload,
@@ -216,92 +229,26 @@ pub fn run_app(
     gamma: f64,
     duration_secs: u64,
     seed: u64,
-    faults: &FaultPlan,
+    faults: &[String],
 ) -> ExperimentOutcome {
-    let mut system =
-        TStormSystem::new(cluster10(), paper_config(mode, gamma, seed)).expect("valid config");
-    // Workload state handles must outlive the run.
-    let _wc_state: Option<WordCountState>;
-    let _ls_state: Option<LogStreamState>;
-    match workload {
-        AppWorkload::Throughput => {
-            let params = ThroughputParams::paper();
-            let topo = throughput::topology(&params).expect("valid");
-            let mut factory = throughput::factory(&params, seed);
-            system.submit(&topo, &mut factory).expect("submits");
-        }
-        AppWorkload::WordCount => {
-            let params = WordCountParams::paper();
-            let topo = wordcount::topology(&params).expect("valid");
-            let state = WordCountState::new();
-            state.attach_corpus_producer(SimTime::ZERO, WORDCOUNT_LINES_PER_SEC);
-            let mut factory = wordcount::factory(&state);
-            system.submit(&topo, &mut factory).expect("submits");
-            _wc_state = Some(state);
-        }
-        AppWorkload::LogStream => {
-            let params = LogStreamParams::paper();
-            let topo = logstream::topology(&params).expect("valid");
-            let state = LogStreamState::new();
-            state.attach_log_producer(SimTime::ZERO, LOGSTREAM_LINES_PER_SEC, seed ^ 0xa5a5);
-            let mut factory = logstream::factory(&state);
-            system.submit(&topo, &mut factory).expect("submits");
-            _ls_state = Some(state);
-        }
-    }
-    system.start().expect("starts");
-    if !faults.is_empty() {
-        system
-            .simulation_mut()
-            .apply_fault_plan(faults)
-            .expect("applies fault plan");
-    }
-    system
-        .run_until(SimTime::from_secs(duration_secs))
-        .expect("runs");
-    ExperimentOutcome::from_system(mode_label(mode, gamma), &system)
-}
-
-/// Fig. 5: the Throughput Test topology (10 nodes, 40 workers, 45
-/// executors) under the given system and consolidation factor.
-#[must_use]
-pub fn fig5(mode: SystemMode, gamma: f64, duration_secs: u64, seed: u64) -> ExperimentOutcome {
-    run_app(
-        AppWorkload::Throughput,
+    let (topology, rate) = match workload {
+        // Spout-paced: the rate is not read.
+        AppWorkload::Throughput => (Topology::Throughput, WORDCOUNT_LINES_PER_SEC),
+        AppWorkload::WordCount => (Topology::WordCount, WORDCOUNT_LINES_PER_SEC),
+        AppWorkload::LogStream => (Topology::LogStream, LOGSTREAM_LINES_PER_SEC),
+    };
+    let opts = RunOptions {
+        topology,
         mode,
         gamma,
         duration_secs,
         seed,
-        &FaultPlan::new(),
-    )
-}
-
-/// Fig. 6: the Word Count topology (10 nodes, 20 workers, 20 executors)
-/// fed from the corpus queue.
-#[must_use]
-pub fn fig6(mode: SystemMode, gamma: f64, duration_secs: u64, seed: u64) -> ExperimentOutcome {
-    run_app(
-        AppWorkload::WordCount,
-        mode,
-        gamma,
-        duration_secs,
-        seed,
-        &FaultPlan::new(),
-    )
-}
-
-/// Fig. 8: the Log Stream Processing topology (10 nodes, 20 workers, 28
-/// executors) fed LogStash-style IIS log lines.
-#[must_use]
-pub fn fig8(mode: SystemMode, gamma: f64, duration_secs: u64, seed: u64) -> ExperimentOutcome {
-    run_app(
-        AppWorkload::LogStream,
-        mode,
-        gamma,
-        duration_secs,
-        seed,
-        &FaultPlan::new(),
-    )
+        rate,
+        faults: faults.to_vec(),
+        ..RunOptions::default()
+    };
+    let outcome = run_scenario(&opts).expect("valid scenario");
+    ExperimentOutcome::from_scenario(mode_label(mode, gamma), outcome)
 }
 
 // ---------------------------------------------------------------------
@@ -391,35 +338,40 @@ pub fn table2() -> String {
 #[must_use]
 pub fn headline(duration_secs: u64, seed: u64) -> Vec<ComparisonRow> {
     let stable = SimTime::from_secs((duration_secs / 2).max(1));
+    let cells = [
+        ("Throughput Test (gamma=1.7)", AppWorkload::Throughput, 1.7),
+        ("Word Count (gamma=1.8)", AppWorkload::WordCount, 1.8),
+        ("Log Stream (gamma=1.7)", AppWorkload::LogStream, 1.7),
+    ];
     let mut rows = Vec::new();
-    let storm = fig5(SystemMode::StormDefault, 1.0, duration_secs, seed);
-    let tstorm = fig5(SystemMode::TStorm, 1.7, duration_secs, seed);
-    rows.extend(ComparisonRow::from_reports(
-        "Throughput Test (gamma=1.7)",
-        &storm.report,
-        &tstorm.report,
-        stable,
-    ));
-    let storm = fig6(SystemMode::StormDefault, 1.0, duration_secs, seed);
-    let tstorm = fig6(SystemMode::TStorm, 1.8, duration_secs, seed);
-    rows.extend(ComparisonRow::from_reports(
-        "Word Count (gamma=1.8)",
-        &storm.report,
-        &tstorm.report,
-        stable,
-    ));
-    let storm = fig8(SystemMode::StormDefault, 1.0, duration_secs, seed);
-    let tstorm = fig8(SystemMode::TStorm, 1.7, duration_secs, seed);
-    rows.extend(ComparisonRow::from_reports(
-        "Log Stream (gamma=1.7)",
-        &storm.report,
-        &tstorm.report,
-        stable,
-    ));
+    for (label, workload, gamma) in cells {
+        let storm = run_app(
+            workload,
+            SystemMode::StormDefault,
+            1.0,
+            duration_secs,
+            seed,
+            &[],
+        );
+        let tstorm = run_app(
+            workload,
+            SystemMode::TStorm,
+            gamma,
+            duration_secs,
+            seed,
+            &[],
+        );
+        rows.extend(ComparisonRow::from_reports(
+            label,
+            &storm.report,
+            &tstorm.report,
+            stable,
+        ));
+    }
     rows
 }
 
-/// Renders one outcome in the shape used by all figure binaries: the
+/// Renders one outcome in the shape every `repro` figure uses: the
 /// 1-minute series, a sparkline of it, and the summary line.
 #[must_use]
 pub fn render_outcome(outcome: &ExperimentOutcome) -> String {
@@ -446,7 +398,7 @@ mod tests {
     use super::*;
 
     // Short-duration smoke versions of each experiment; the full-length
-    // reproductions live in the fig* binaries.
+    // reproductions are the `repro` targets.
 
     #[test]
     fn fig2_ordering_holds() {

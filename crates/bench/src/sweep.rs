@@ -258,14 +258,13 @@ impl SweepGrid {
 /// the result is plain owned data.
 #[must_use]
 pub fn run_trial(spec: &TrialSpec) -> TrialResult {
-    let faults = FaultPlan::from_specs(&spec.faults).expect("specs validated at expansion");
     let outcome = run_app(
         spec.workload,
         spec.mode,
         spec.gamma,
         spec.duration_secs,
         spec.seed,
-        &faults,
+        &spec.faults,
     );
     TrialResult {
         index: spec.index,

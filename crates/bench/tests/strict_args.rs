@@ -1,6 +1,6 @@
 //! End-to-end regression tests for strict argument parsing: malformed
 //! input must exit non-zero with a diagnostic, never silently fall back
-//! to defaults (the old `fig5 100O` → 1000 s bug).
+//! to defaults (the old `fig5 100O` → 1000 s bug, now `repro fig5 100O`).
 
 use std::process::Command;
 
@@ -11,12 +11,18 @@ fn run(bin: &str, args: &[&str]) -> std::process::Output {
         .expect("binary launches")
 }
 
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
+
 #[test]
 fn malformed_duration_exits_nonzero_and_names_the_value() {
     // The motivating bug: a letter O typo used to run the default
     // duration instead of erroring.
-    let out = run(env!("CARGO_BIN_EXE_fig5"), &["100O"]);
-    assert_eq!(out.status.code(), Some(2), "exit code for `fig5 100O`");
+    let out = run(REPRO, &["fig5", "100O"]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "exit code for `repro fig5 100O`"
+    );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("100O"),
@@ -27,12 +33,29 @@ fn malformed_duration_exits_nonzero_and_names_the_value() {
 
 #[test]
 fn malformed_seed_and_extra_args_exit_nonzero() {
-    let out = run(env!("CARGO_BIN_EXE_fig2"), &["10", "4x"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(env!("CARGO_BIN_EXE_fig3"), &["10", "7", "9"]);
-    assert_eq!(out.status.code(), Some(2));
-    let out = run(env!("CARGO_BIN_EXE_summary"), &["--frobnicate"]);
-    assert_eq!(out.status.code(), Some(2));
+    for args in [
+        &["fig2", "10", "4x"][..],
+        &["fig3", "10", "7", "9"],
+        &["summary", "--frobnicate"],
+    ] {
+        let out = run(REPRO, args);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}");
+    }
+}
+
+/// A missing or unknown target name exits 2 with the usage, which
+/// lists the targets.
+#[test]
+fn missing_or_unknown_target_exits_two_with_usage() {
+    for args in [&[][..], &["nosuch"], &["tables"]] {
+        let out = run(REPRO, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: repro") && stderr.contains("fig10"),
+            "repro {args:?} shows usage: {stderr}"
+        );
+    }
 }
 
 /// `SimTime::from_secs` does not check for overflow, so a duration whose
@@ -42,19 +65,11 @@ fn malformed_seed_and_extra_args_exit_nonzero() {
 #[test]
 fn overflowing_durations_exit_two_and_name_the_value() {
     let cases: &[(&str, &[&str], &str)] = &[
+        (REPRO, &["fig3", "18446744073710"], "18446744073710"),
+        (REPRO, &["fig5", "18446744073710", "7"], "18446744073710"),
         (
-            env!("CARGO_BIN_EXE_fig3"),
-            &["18446744073710"],
-            "18446744073710",
-        ),
-        (
-            env!("CARGO_BIN_EXE_fig5"),
-            &["18446744073710", "7"],
-            "18446744073710",
-        ),
-        (
-            env!("CARGO_BIN_EXE_summary"),
-            &["18446744073709551615"],
+            REPRO,
+            &["summary", "18446744073709551615"],
             "18446744073709551615",
         ),
         (
@@ -76,24 +91,28 @@ fn overflowing_durations_exit_two_and_name_the_value() {
 
 #[test]
 fn help_exits_zero_with_usage() {
-    for bin in [
-        env!("CARGO_BIN_EXE_fig5"),
-        env!("CARGO_BIN_EXE_baselines"),
-        env!("CARGO_BIN_EXE_tables"),
-        env!("CARGO_BIN_EXE_sweep"),
-        env!("CARGO_BIN_EXE_alg1bench"),
-        env!("CARGO_BIN_EXE_inspect"),
-    ] {
-        let out = run(bin, &["--help"]);
-        assert_eq!(out.status.code(), Some(0), "{bin} --help");
+    let cases: &[(&str, &[&str])] = &[
+        (REPRO, &["--help"]),
+        (REPRO, &["fig5", "--help"]),
+        (REPRO, &["baselines", "--help"]),
+        (REPRO, &["table2", "--help"]),
+        (env!("CARGO_BIN_EXE_sweep"), &["--help"]),
+        (env!("CARGO_BIN_EXE_alg1bench"), &["--help"]),
+        (env!("CARGO_BIN_EXE_inspect"), &["--help"]),
+    ];
+    for (bin, args) in cases {
+        let out = run(bin, args);
+        assert_eq!(out.status.code(), Some(0), "{bin} {args:?}");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("usage"), "{bin} --help prints usage");
+        assert!(stdout.contains("usage"), "{bin} {args:?} prints usage");
     }
 }
 
 #[test]
-fn tables_rejects_any_argument() {
-    let out = run(env!("CARGO_BIN_EXE_tables"), &["extra"]);
+fn table2_rejects_any_argument() {
+    let out = run(REPRO, &["table2", "extra"]);
+    assert_eq!(out.status.code(), Some(2));
+    let out = run(REPRO, &["table2", "10"]);
     assert_eq!(out.status.code(), Some(2));
 }
 
@@ -108,6 +127,8 @@ fn sweep_rejects_malformed_grid_flags() {
         &["--duration"],
         &["--bogus"],
         &["--gammas", "1.7,1.7"], // duplicate cell labels
+        // The window's end overflows the microsecond clock.
+        &["--fault", "nimbus-crash@t=18446744073709,dur=1"],
     ];
     for args in cases {
         let out = run(env!("CARGO_BIN_EXE_sweep"), args);

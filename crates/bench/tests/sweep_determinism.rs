@@ -10,7 +10,6 @@ use tstorm_bench::sweep::{
     render_sweep_json, report_json, run_sweep, run_trial, run_trials, SweepGrid, TrialSpec,
 };
 use tstorm_core::SystemMode;
-use tstorm_sim::FaultPlan;
 use tstorm_types::derive_seed;
 
 const DURATION: u64 = 20;
@@ -67,7 +66,7 @@ fn pooled_trial_matches_standalone_run() {
         spec.gamma,
         spec.duration_secs,
         spec.seed,
-        &FaultPlan::new(),
+        &[],
     );
     let pooled = run_trials(&specs, 2);
     assert_eq!(

@@ -169,8 +169,6 @@ pub enum Command {
     Compare(RunOptions),
     /// List registered schedulers.
     Schedulers,
-    /// Print Table II.
-    Table2,
     /// Print usage.
     Help,
 }
@@ -195,7 +193,6 @@ USAGE:
     tstorm run     [OPTIONS]   run one workload under one system
     tstorm compare [OPTIONS]   run Storm and T-Storm and compare
     tstorm schedulers          list scheduling algorithms
-    tstorm table2              print the Table II settings
     tstorm help                this text
 
 OPTIONS (run/compare):
@@ -258,7 +255,6 @@ where
         "run" => Ok(Command::Run(parse_options(it)?)),
         "compare" => Ok(Command::Compare(parse_options(it)?)),
         "schedulers" => Ok(Command::Schedulers),
-        "table2" => Ok(Command::Table2),
         "help" | "--help" | "-h" => Ok(Command::Help),
         other => Err(ParseError(format!(
             "unknown command `{other}` (try `tstorm help`)"
@@ -440,7 +436,6 @@ mod tests {
     #[test]
     fn parses_other_commands() {
         assert_eq!(parse(args("schedulers")).unwrap(), Command::Schedulers);
-        assert_eq!(parse(args("table2")).unwrap(), Command::Table2);
         assert_eq!(parse(args("help")).unwrap(), Command::Help);
         assert_eq!(parse(Vec::<&str>::new()).unwrap(), Command::Help);
     }

@@ -4,7 +4,6 @@
 //! tstorm run     --topology wordcount --system t-storm --gamma 1.8 --duration 600
 //! tstorm compare --topology throughput --gamma 1.7
 //! tstorm schedulers
-//! tstorm table2
 //! ```
 //!
 //! `run` executes one workload under one system and prints the 1-minute

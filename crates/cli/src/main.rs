@@ -3,7 +3,7 @@
 use std::process::ExitCode;
 use tstorm_cli::args::{self, Command, USAGE};
 use tstorm_cli::scenario::run_scenario;
-use tstorm_core::{SystemMode, TStormConfig};
+use tstorm_core::SystemMode;
 use tstorm_metrics::ComparisonRow;
 use tstorm_sched::SchedulerRegistry;
 use tstorm_types::SimTime;
@@ -29,17 +29,6 @@ fn main() -> ExitCode {
             for name in SchedulerRegistry::with_builtins().names() {
                 println!("{name}");
             }
-            ExitCode::SUCCESS
-        }
-        Command::Table2 => {
-            let c = TStormConfig::default();
-            println!(
-                "alpha={} monitor={}s fetch={}s generation={}s",
-                c.alpha,
-                c.monitor_period.as_secs(),
-                c.fetch_period.as_secs(),
-                c.generation_period.as_secs()
-            );
             ExitCode::SUCCESS
         }
         Command::Run(opts) => match run_scenario(&opts) {

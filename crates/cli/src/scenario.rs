@@ -99,7 +99,7 @@ pub struct ScenarioOutcome {
     pub report: RunReport,
     /// Schedules generated / rollouts / overloads / failures.
     pub generations: u32,
-    /// Supervisor rollouts.
+    /// Assignment changes applied ([`tstorm_sim::Simulation::reassignments`]).
     pub reassignments: u32,
     /// Overload fast-path activations.
     pub overload_events: u32,

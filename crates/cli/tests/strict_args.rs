@@ -72,6 +72,16 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["run", "--scale", "scale-9000"],
         "unknown preset `scale-9000`",
     ),
+    // A fault window ending past the microsecond clock used to wrap its
+    // restore to an early instant and run anyway.
+    (
+        &["run", "--fault", "nimbus-crash@t=18446744073709,dur=1"],
+        "`nimbus-crash@t=18446744073709,dur=1`: `t` + `dur` overflows",
+    ),
+    (
+        &["run", "--fault", "nimbus-crash@t=1e20,dur=1"],
+        "`t` overflows the microsecond clock",
+    ),
 ];
 
 #[test]

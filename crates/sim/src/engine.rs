@@ -1049,7 +1049,10 @@ impl Simulation {
         self.roots.len()
     }
 
-    /// Number of assignment rollouts performed by supervisors.
+    /// Assignment changes applied so far: one per Storm-mode
+    /// kill-and-restart rollout, and one per node whose slice changed in
+    /// a T-Storm per-node switch ([`Self::apply_assignment_for_node`]),
+    /// so a T-Storm rollout that moves executors on six nodes counts six.
     #[must_use]
     pub fn reassignments(&self) -> u32 {
         self.reassignments

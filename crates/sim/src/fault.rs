@@ -204,7 +204,7 @@ pub fn parse_spec(spec: &str) -> Result<FaultEvent, FaultParseError> {
         },
         "node-crash" => FaultKind::NodeCrash {
             node: fields.node()?,
-            restart_after: fields.optional_time("restart")?,
+            restart_after: fields.optional_window(at, "restart")?,
         },
         "nic-slow" => {
             let factor = fields.float("factor")?;
@@ -214,15 +214,15 @@ pub fn parse_spec(spec: &str) -> Result<FaultEvent, FaultParseError> {
             FaultKind::NicSlowdown {
                 node: fields.node()?,
                 factor,
-                duration: fields.time("dur")?,
+                duration: fields.window(at, "dur")?,
             }
         }
         "nimbus-crash" => FaultKind::NimbusCrash {
-            duration: fields.time("dur")?,
+            duration: fields.window(at, "dur")?,
         },
         "heartbeat-loss" => FaultKind::HeartbeatLoss {
             node: fields.node()?,
-            duration: fields.time("dur")?,
+            duration: fields.window(at, "dur")?,
         },
         other => {
             return Err(err(format!(
@@ -299,16 +299,40 @@ impl<'a> Fields<'a> {
         Ok(NodeId::new(self.int("node")?))
     }
 
+    /// A time in virtual seconds. `SimTime::from_secs_f64` saturates,
+    /// so a value whose microsecond count does not fit `u64` is
+    /// rejected here instead of turning into `SimTime::MAX`.
     fn time(&mut self, key: &str) -> Result<SimTime, FaultParseError> {
-        Ok(SimTime::from_secs_f64(self.float(key)?))
+        let secs = self.float(key)?;
+        if (secs * 1e6).round() >= u64::MAX as f64 {
+            return Err(FaultParseError(format!(
+                "--fault `{}`: `{key}` overflows the microsecond clock (at most {} s)",
+                self.spec,
+                u64::MAX / 1_000_000
+            )));
+        }
+        Ok(SimTime::from_secs_f64(secs))
     }
 
-    fn optional_time(&mut self, key: &str) -> Result<Option<SimTime>, FaultParseError> {
-        if self.pairs.iter().any(|(k, _)| *k == key) {
-            Ok(Some(self.time(key)?))
-        } else {
-            Ok(None)
-        }
+    /// A window opening at `at`. The engine schedules its end at
+    /// `at + window`, so that instant must fit the clock as well.
+    fn window(&mut self, at: SimTime, key: &str) -> Result<SimTime, FaultParseError> {
+        let window = self.time(key)?;
+        at.checked_add(window).map(|_| window).ok_or_else(|| {
+            FaultParseError(format!(
+                "--fault `{}`: `t` + `{key}` overflows the microsecond clock",
+                self.spec
+            ))
+        })
+    }
+
+    fn optional_window(
+        &mut self,
+        at: SimTime,
+        key: &str,
+    ) -> Result<Option<SimTime>, FaultParseError> {
+        let present = self.pairs.iter().any(|(k, _)| *k == key);
+        present.then(|| self.window(at, key)).transpose()
     }
 
     fn finish(self) -> Result<(), FaultParseError> {
@@ -401,22 +425,26 @@ mod tests {
     #[test]
     fn rejects_malformed_specs() {
         for bad in [
-            "node-crash",                           // no params
-            "meteor-strike@t=1,node=0",             // unknown kind
-            "node-crash@node=3",                    // missing t
-            "node-crash@t=1",                       // missing node
-            "worker-crash@t=1,node=0",              // missing slot
-            "node-crash@t=1,node=0,node=1",         // duplicate key
-            "node-crash@t=1,node=0,color=red",      // unknown key
-            "node-crash@t=banana,node=0",           // non-numeric time
-            "node-crash@t=-5,node=0",               // negative time
-            "nic-slow@t=1,node=0,factor=0.5,dur=9", // factor < 1
-            "worker-crash@t=1,node=0,slot=x",       // non-integer slot
-            "node-crash@t=1,node",                  // key without value
-            "nimbus-crash@t=1",                     // missing dur
-            "nimbus-crash@t=1,node=0,dur=5",        // nimbus has no node
-            "heartbeat-loss@t=1,node=0",            // missing dur
-            "heartbeat-loss@t=1,dur=5",             // missing node
+            "node-crash",                                   // no params
+            "meteor-strike@t=1,node=0",                     // unknown kind
+            "node-crash@node=3",                            // missing t
+            "node-crash@t=1",                               // missing node
+            "worker-crash@t=1,node=0",                      // missing slot
+            "node-crash@t=1,node=0,node=1",                 // duplicate key
+            "node-crash@t=1,node=0,color=red",              // unknown key
+            "node-crash@t=banana,node=0",                   // non-numeric time
+            "node-crash@t=-5,node=0",                       // negative time
+            "nic-slow@t=1,node=0,factor=0.5,dur=9",         // factor < 1
+            "worker-crash@t=1,node=0,slot=x",               // non-integer slot
+            "node-crash@t=1,node",                          // key without value
+            "nimbus-crash@t=1",                             // missing dur
+            "nimbus-crash@t=1,node=0,dur=5",                // nimbus has no node
+            "heartbeat-loss@t=1,node=0",                    // missing dur
+            "heartbeat-loss@t=1,dur=5",                     // missing node
+            "nimbus-crash@t=1e20,dur=1",                    // t overflows the clock
+            "nimbus-crash@t=1,dur=1e20",                    // dur overflows the clock
+            "nimbus-crash@t=18446744073709,dur=1",          // t + dur overflows
+            "node-crash@t=18446744073709,node=0,restart=1", // t + restart overflows
         ] {
             let err = parse_spec(bad).expect_err(bad);
             assert!(err.to_string().contains(bad), "{err}");
