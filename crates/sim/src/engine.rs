@@ -458,7 +458,6 @@ pub struct Simulation {
     emitted: u64,
     dropped_in_flight: u64,
     reassignments: u32,
-    worker_failures: u32,
     events_processed: u64,
     observer: Observer,
     /// Streaming critical-path analyzer. `None` (the default) keeps the
@@ -484,17 +483,6 @@ pub struct Simulation {
     recovery_reassigned: bool,
     /// Fault-to-first-completion latencies (ms) of healed faults.
     recovery_latencies: Vec<f64>,
-}
-
-/// Maps the simulator's hop classification onto the trace vocabulary
-/// (the trace crate sits below the simulator in the dependency graph,
-/// so it defines its own copy of the enum).
-fn trace_hop(hop: HopClass) -> tstorm_trace::HopClass {
-    match hop {
-        HopClass::IntraWorker => tstorm_trace::HopClass::IntraWorker,
-        HopClass::InterProcess => tstorm_trace::HopClass::InterProcess,
-        HopClass::InterNode => tstorm_trace::HopClass::InterNode,
-    }
 }
 
 impl std::fmt::Debug for Simulation {
@@ -560,7 +548,6 @@ impl Simulation {
             emitted: 0,
             dropped_in_flight: 0,
             reassignments: 0,
-            worker_failures: 0,
             events_processed: 0,
             observer: Observer::disabled(),
             spans: None,
@@ -1058,12 +1045,6 @@ impl Simulation {
         self.reassignments
     }
 
-    /// Number of injected worker failures handled so far.
-    #[must_use]
-    pub fn worker_failures(&self) -> u32 {
-        self.worker_failures
-    }
-
     /// Total simulation events processed — the simulator's work measure
     /// (used by throughput benchmarks and performance diagnostics).
     ///
@@ -1095,17 +1076,9 @@ impl Simulation {
             if self.executors[i].topo_idx != topo_idx {
                 continue;
             }
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
+            self.stop_executor(i);
             let e = &mut self.executors[i];
             e.alive = false;
-            e.epoch += 1; // drop in-flight deliveries
             e.location = None;
             self.current.unassign(ExecutorId::new(i as u32));
         }
@@ -1124,22 +1097,9 @@ impl Simulation {
         self.record_usage();
     }
 
-    /// Schedules a worker crash at `at` (fault injection; Section II of
-    /// the paper describes Storm's handling). Recoverable crashes are
-    /// restarted in place by the supervisor after the worker startup
-    /// delay; unrecoverable ones make Nimbus move the slot's executors to
-    /// a free slot on a different node (they stay down if none exists).
-    /// Queued and in-flight work of the crashed worker is lost either
-    /// way; anchored tuples time out and may be replayed.
-    pub fn inject_worker_failure(&mut self, slot: SlotId, at: SimTime, recoverable: bool) {
-        self.queue
-            .push(at, Event::WorkerFailure { slot, recoverable });
-    }
-
-    /// Schedules every event of a [`FaultPlan`]. Unlike
-    /// [`Simulation::inject_worker_failure`], fault-plan crashes never
-    /// restart in place: the engine drops the workers' state and marks
-    /// node liveness, and recovery is the control plane's job (detect
+    /// Schedules every event of a [`FaultPlan`]. Crashes never restart
+    /// in place: the engine drops the workers' state and marks node
+    /// liveness, and recovery is the control plane's job (detect
     /// orphaned executors, re-run the scheduler, apply the new
     /// assignment). Node crashes with a `restart` rejoin later; NIC
     /// slowdowns restore automatically after their duration.
@@ -1293,10 +1253,6 @@ impl Simulation {
             Event::TupleTimeout(root) => self.on_timeout(root),
             Event::SupervisorPoll => self.on_supervisor_poll(),
             Event::ExecutorResume(id) => self.on_resume(id),
-            Event::WorkerReady(_) => {}
-            Event::WorkerFailure { slot, recoverable } => {
-                self.on_worker_failure(slot, recoverable);
-            }
             Event::Fault(kind) => self.on_fault(&kind),
             Event::NodeRestart(node) => self.on_node_restart(node),
             Event::NicRestore(node) => self.on_nic_restore(node),
@@ -1391,15 +1347,9 @@ impl Simulation {
     fn on_deliver(&mut self, mut env: Box<Envelope>) {
         let idx = env.dst.as_usize();
         if env.dst_epoch != self.executors[idx].epoch {
-            // The destination worker was killed while this message was in
-            // flight. If the executor crashed and has not been re-placed
-            // yet, the fault destroyed this tuple; otherwise it is a
-            // routine re-assignment drop (Storm Immediate mode).
-            if self.faults_injected > 0 && self.executors[idx].location.is_none() {
-                self.note_tuple_lost(1);
-            } else {
-                self.dropped_in_flight += 1;
-            }
+            // The destination worker was stopped while this message was
+            // in flight.
+            self.drop_undeliverable(1, self.executors[idx].location.is_none());
             self.recycle_envelope(env);
             return;
         }
@@ -1895,22 +1845,24 @@ impl Simulation {
         }
     }
 
-    fn send_envelope(&mut self, mut env: Envelope, payload: Bytes) {
+    /// The per-tuple bookkeeping both send paths share, done at send
+    /// (or stage) time: the placement check, the pair counter, the
+    /// transfer trace event and metrics, and NIC egress attribution.
+    /// Returns the endpoints' nodes and hop class, or `None` when an
+    /// endpoint is unplaced and the tuple was dropped.
+    fn account_transfer(
+        &mut self,
+        env: &Envelope,
+        payload: Bytes,
+    ) -> Option<(NodeId, NodeId, HopClass)> {
         let (Some(src_slot), Some(dst_slot)) = (
             self.executors[env.src.as_usize()].location,
             self.executors[env.dst.as_usize()].location,
         ) else {
-            // An endpoint is not placed: the message is lost; anchored
-            // roots will time out. An unplaced endpoint after a fault
-            // means a crash orphaned it — count the tuple against the
-            // fault rather than as a routine in-flight drop. The
-            // envelope was never boxed, so nothing is recycled.
-            if self.faults_injected > 0 {
-                self.note_tuple_lost(1);
-            } else {
-                self.dropped_in_flight += 1;
-            }
-            return;
+            // The message is lost before it ever leaves; anchored roots
+            // will time out.
+            self.drop_undeliverable(1, true);
+            return None;
         };
         self.counters
             .add_pair(env.src.as_usize(), env.dst.as_usize());
@@ -1921,11 +1873,11 @@ impl Simulation {
             tuple: env.root.map_or(u64::MAX, TupleId::get),
             from_executor: env.src.index(),
             to_executor: env.dst.index(),
-            hop: trace_hop(hop),
+            hop,
             bytes: payload.get(),
         });
         self.observer.metrics(|m| {
-            let labels = [("hop", trace_hop(hop).label())];
+            let labels = [("hop", hop.label())];
             m.inc_counter(
                 "tstorm_transfers_total",
                 "Tuple transfers by locality class",
@@ -1939,25 +1891,25 @@ impl Simulation {
                 payload.get(),
             );
         });
-        let extra_workers = match hop {
-            HopClass::IntraWorker => 0,
-            _ => self.workers_on_node[dst_node.as_usize()].saturating_sub(1),
-        };
         if matches!(hop, HopClass::InterNode) {
             self.counters
                 .add_node_tx(src_node.as_usize(), payload.get());
         }
-        let at =
-            self.network
-                .delivery_time(self.clock, hop, payload, src_node, dst_node, extra_workers);
-        if self.spans.is_some() {
-            let micros = self.span_micros(at, self.clock);
-            env.chain = extend_span(
-                &env.chain,
-                SpanSeg::network(env.src, src_node, env.dst, dst_node, trace_hop(hop), micros),
-            );
+        Some((src_node, dst_node, hop))
+    }
+
+    /// Worker processes on the destination node beyond the receiving
+    /// one — the receive-scheduling delay input of every non-local hop.
+    fn extra_workers(&self, hop: HopClass, dst_node: NodeId) -> u32 {
+        match hop {
+            HopClass::IntraWorker => 0,
+            _ => self.workers_on_node[dst_node.as_usize()].saturating_sub(1),
         }
-        let boxed = match self.env_pool.pop() {
+    }
+
+    /// Boxes an envelope, reusing a pooled allocation when one exists.
+    fn boxed_envelope(&mut self, env: Envelope) -> Box<Envelope> {
+        match self.env_pool.pop() {
             Some(mut b) => {
                 self.pool_hits += 1;
                 *b = env;
@@ -1967,60 +1919,36 @@ impl Simulation {
                 self.pool_misses += 1;
                 Box::new(env)
             }
+        }
+    }
+
+    fn send_envelope(&mut self, mut env: Envelope, payload: Bytes) {
+        let Some((src_node, dst_node, hop)) = self.account_transfer(&env, payload) else {
+            return;
         };
+        let extra_workers = self.extra_workers(hop, dst_node);
+        let at =
+            self.network
+                .delivery_time(self.clock, hop, payload, src_node, dst_node, extra_workers);
+        if self.spans.is_some() {
+            let micros = self.span_micros(at, self.clock);
+            env.chain = extend_span(
+                &env.chain,
+                SpanSeg::network(env.src, src_node, env.dst, dst_node, hop, micros),
+            );
+        }
+        let boxed = self.boxed_envelope(env);
         self.queue.push(at, Event::Deliver(boxed));
     }
 
     /// Stages one tuple into its (source, destination) pending batch —
     /// the batched counterpart of [`Simulation::send_envelope`], taken
-    /// whenever `batch_size > 1`. Per-tuple bookkeeping that the
-    /// unbatched path performs at send time (placement check, traffic
-    /// counters, transfer trace, NIC egress attribution) happens here
-    /// at stage time; only the wire trip itself is deferred to flush.
+    /// whenever `batch_size > 1`. The per-tuple bookkeeping
+    /// ([`Simulation::account_transfer`]) happens here at stage time;
+    /// only the wire trip itself is deferred to flush.
     fn stage_tuple(&mut self, mut env: Envelope, payload: Bytes) {
-        let (Some(src_slot), Some(dst_slot)) = (
-            self.executors[env.src.as_usize()].location,
-            self.executors[env.dst.as_usize()].location,
-        ) else {
-            // Same rule as the unbatched path: an unplaced endpoint
-            // means the message is lost before it ever leaves.
-            if self.faults_injected > 0 {
-                self.note_tuple_lost(1);
-            } else {
-                self.dropped_in_flight += 1;
-            }
+        if self.account_transfer(&env, payload).is_none() {
             return;
-        };
-        self.counters
-            .add_pair(env.src.as_usize(), env.dst.as_usize());
-        let src_node = self.cluster.node_of(src_slot);
-        let dst_node = self.cluster.node_of(dst_slot);
-        let hop = classify(src_slot.index(), dst_slot.index(), src_node, dst_node);
-        self.emit_trace(|| TraceEvent::TupleTransfer {
-            tuple: env.root.map_or(u64::MAX, TupleId::get),
-            from_executor: env.src.index(),
-            to_executor: env.dst.index(),
-            hop: trace_hop(hop),
-            bytes: payload.get(),
-        });
-        self.observer.metrics(|m| {
-            let labels = [("hop", trace_hop(hop).label())];
-            m.inc_counter(
-                "tstorm_transfers_total",
-                "Tuple transfers by locality class",
-                &labels,
-                1,
-            );
-            m.inc_counter(
-                "tstorm_transfer_bytes_total",
-                "Bytes transferred by locality class",
-                &labels,
-                payload.get(),
-            );
-        });
-        if matches!(hop, HopClass::InterNode) {
-            self.counters
-                .add_node_tx(src_node.as_usize(), payload.get());
         }
         env.staged_at = self.clock;
         let src_idx = env.src.as_usize();
@@ -2079,24 +2007,15 @@ impl Simulation {
             self.executors[batch.dst.as_usize()].location,
         ) else {
             // An endpoint lost its placement between staging and flush:
-            // every staged tuple is lost, under the same fault-vs-churn
-            // attribution the unbatched path applies at send time.
-            let n = batch.tuples.len() as u64;
-            if self.faults_injected > 0 {
-                self.note_tuple_lost(n);
-            } else {
-                self.dropped_in_flight += n;
-            }
+            // every staged tuple is lost.
+            self.drop_undeliverable(batch.tuples.len() as u64, true);
             self.recycle_batch(batch);
             return;
         };
         let src_node = self.cluster.node_of(src_slot);
         let dst_node = self.cluster.node_of(dst_slot);
         let hop = classify(src_slot.index(), dst_slot.index(), src_node, dst_node);
-        let extra_workers = match hop {
-            HopClass::IntraWorker => 0,
-            _ => self.workers_on_node[dst_node.as_usize()].saturating_sub(1),
-        };
+        let extra_workers = self.extra_workers(hop, dst_node);
         let at = self.network.delivery_time(
             self.clock,
             hop,
@@ -2112,7 +2031,7 @@ impl Simulation {
                 let t = &mut batch.tuples[i];
                 t.chain = extend_span(
                     &t.chain,
-                    SpanSeg::network(t.src, src_node, t.dst, dst_node, trace_hop(hop), micros),
+                    SpanSeg::network(t.src, src_node, t.dst, dst_node, hop, micros),
                 );
             }
         }
@@ -2166,26 +2085,12 @@ impl Simulation {
         let idx = batch.dst.as_usize();
         for mut env in batch.tuples.drain(..) {
             if env.dst_epoch != self.executors[idx].epoch {
-                if self.faults_injected > 0 && self.executors[idx].location.is_none() {
-                    self.note_tuple_lost(1);
-                } else {
-                    self.dropped_in_flight += 1;
-                }
+                self.drop_undeliverable(1, self.executors[idx].location.is_none());
                 continue;
             }
             let tuple = env.root.map_or(u64::MAX, TupleId::get);
             env.delivered_at = self.clock;
-            let boxed = match self.env_pool.pop() {
-                Some(mut b) => {
-                    self.pool_hits += 1;
-                    *b = env;
-                    b
-                }
-                None => {
-                    self.pool_misses += 1;
-                    Box::new(env)
-                }
-            };
+            let boxed = self.boxed_envelope(env);
             self.executors[idx].queue.push_back(boxed);
             let depth = self.executors[idx].queue.len() as u64;
             self.emit_trace(|| TraceEvent::QueueEnter {
@@ -2269,6 +2174,25 @@ impl Simulation {
         env.values = self.empty_values.clone();
         env.chain = None;
         self.env_pool.push(env);
+    }
+
+    /// Stops one executor's worker-side state, as a killed worker does:
+    /// the in-service tuple, the input queue and the staged outbound
+    /// batches are dropped, and the epoch bump voids deliveries still in
+    /// flight. Returns how many tuples were destroyed.
+    fn stop_executor(&mut self, idx: usize) -> u64 {
+        let mut lost = 0u64;
+        if let Some(work) = self.executors[idx].busy.take() {
+            self.release_cpu(work.busy_node);
+            lost += 1;
+            if let Some(env) = work.env {
+                self.recycle_envelope(env);
+            }
+        }
+        lost += self.drain_queue_to_pool(idx);
+        lost += self.drop_pending_outbound(idx);
+        self.executors[idx].epoch += 1;
+        lost
     }
 
     /// Drops an executor's queued messages into the envelope pool and
@@ -2394,101 +2318,15 @@ impl Simulation {
                 || new_slot.is_some_and(|s| diff.changed_slots.contains(&s));
             self.executors[i].location = new_slot;
             if affected {
-                if let Some(work) = self.executors[i].busy.take() {
-                    // In-service work is lost with the worker.
-                    self.release_cpu(work.busy_node);
-                    if let Some(env) = work.env {
-                        self.recycle_envelope(env);
-                    }
-                }
-                self.drain_queue_to_pool(i);
-                self.drop_pending_outbound(i);
-                let e = &mut self.executors[i];
-                e.epoch += 1;
+                self.stop_executor(i);
                 if new_slot.is_some() {
-                    e.paused_until = Some(ready_at);
+                    self.executors[i].paused_until = Some(ready_at);
                     self.queue.push(ready_at, Event::ExecutorResume(id));
                 }
             }
         }
         self.current = new.clone();
         self.note_assignment_change(&old_slots, &diff);
-        self.recompute_node_stats();
-        self.record_usage();
-    }
-
-    fn on_worker_failure(&mut self, slot: SlotId, recoverable: bool) {
-        let victims: Vec<usize> = self
-            .executors
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.location == Some(slot))
-            .map(|(i, _)| i)
-            .collect();
-        if victims.is_empty() {
-            return; // empty slot: nothing to kill
-        }
-        self.worker_failures += 1;
-        {
-            let node = self.cluster.node_of(slot).index();
-            let worker = slot.index();
-            self.emit_trace(|| TraceEvent::WorkerStop { node, worker });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_worker_failures_total",
-                    "Injected worker crashes handled",
-                    &[],
-                    1,
-                );
-            });
-        }
-
-        // An unrecoverable crash relocates the whole worker to a free
-        // slot on another node, if one exists.
-        let new_slot = if recoverable {
-            Some(slot)
-        } else {
-            let node = self.cluster.node_of(slot);
-            let used = self.current.slots_used();
-            self.cluster
-                .slots()
-                .iter()
-                .find(|s| s.node != node && !used.contains(&s.slot))
-                .map(|s| s.slot)
-        };
-
-        if let Some(s) = new_slot {
-            let node = self.cluster.node_of(s).index();
-            let worker = s.index();
-            self.emit_trace(|| TraceEvent::WorkerStart { node, worker });
-        }
-        let ready_at = self.clock + self.config.reassign.worker_startup;
-        for i in victims {
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            self.drain_queue_to_pool(i);
-            self.drop_pending_outbound(i);
-            let id = ExecutorId::new(i as u32);
-            let e = &mut self.executors[i];
-            e.epoch += 1;
-            e.location = new_slot;
-            match new_slot {
-                Some(s) => {
-                    e.paused_until = Some(ready_at);
-                    self.current.assign(id, s);
-                    self.queue.push(ready_at, Event::ExecutorResume(id));
-                }
-                None => {
-                    // Nowhere to restart: the executor stays down until a
-                    // future assignment places it.
-                    self.current.unassign(id);
-                }
-            }
-        }
         self.recompute_node_stats();
         self.record_usage();
     }
@@ -2581,22 +2419,26 @@ impl Simulation {
         }
         let mut lost = 0u64;
         for i in victims {
-            if let Some(work) = self.executors[i].busy.take() {
-                self.release_cpu(work.busy_node);
-                lost += 1;
-                if let Some(env) = work.env {
-                    self.recycle_envelope(env);
-                }
-            }
-            lost += self.drain_queue_to_pool(i);
-            lost += self.drop_pending_outbound(i);
+            lost += self.stop_executor(i);
             let e = &mut self.executors[i];
-            e.epoch += 1;
             e.location = None;
             e.paused_until = None;
             self.current.unassign(ExecutorId::new(i as u32));
         }
         self.note_tuple_lost(lost);
+    }
+
+    /// The loss rule: where `n` tuples that will never be delivered are
+    /// counted. After a fault, tuples whose endpoint is `unplaced` were
+    /// destroyed by a crash that orphaned it ([`Simulation::tuples_lost`]);
+    /// anything else is routine relocation churn
+    /// ([`Simulation::dropped_in_flight`]).
+    fn drop_undeliverable(&mut self, n: u64, unplaced: bool) {
+        if self.faults_injected > 0 && unplaced {
+            self.note_tuple_lost(n);
+        } else {
+            self.dropped_in_flight += n;
+        }
     }
 
     /// Counts tuples destroyed by a fault — at the crash instant or

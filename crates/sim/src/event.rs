@@ -29,7 +29,7 @@ use std::collections::VecDeque;
 use crate::fault::FaultKind;
 use tstorm_topology::SharedValues;
 use tstorm_trace::SpanChain;
-use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, SlotId, TupleId};
+use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, TupleId};
 
 /// Routing/acking metadata carried by every in-flight message.
 ///
@@ -146,22 +146,9 @@ pub enum Event {
     SupervisorPoll,
     /// An executor becomes available again (worker restarted/ready).
     ExecutorResume(ExecutorId),
-    /// A worker slot becomes ready (initial start).
-    WorkerReady(SlotId),
-    /// Fault injection: the worker in this slot crashes. Recoverable
-    /// failures restart in place (Storm: "its supervisor will try to
-    /// restart it on the same worker node"); unrecoverable ones force
-    /// Nimbus to move the executors to a free slot on another node.
-    WorkerFailure {
-        /// The crashing worker's slot.
-        slot: SlotId,
-        /// Whether the supervisor's in-place restart succeeds.
-        recoverable: bool,
-    },
-    /// A scheduled [`FaultKind`] from a fault plan fires. Unlike
-    /// [`Event::WorkerFailure`], recovery is left to the control plane:
-    /// the engine only drops state and marks liveness, and the
-    /// scheduler re-places the orphaned executors.
+    /// A scheduled [`FaultKind`] from a fault plan fires. The engine
+    /// only drops state and marks liveness; recovery is left to the
+    /// control plane, whose scheduler re-places the orphaned executors.
     Fault(FaultKind),
     /// A crashed node rejoins the cluster.
     NodeRestart(NodeId),

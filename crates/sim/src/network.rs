@@ -2,20 +2,11 @@
 //! per-node NIC.
 
 use crate::config::NetworkConfig;
-use serde::{Deserialize, Serialize};
 use tstorm_types::{Bytes, NodeId, SimTime};
 
 /// Where two executors sit relative to each other — determines hand-off
-/// cost (Observation 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum HopClass {
-    /// Same worker process: in-memory queue hand-off.
-    IntraWorker,
-    /// Same node, different worker: loopback + serialisation.
-    InterProcess,
-    /// Different nodes: serialisation + NIC + wire.
-    InterNode,
-}
+/// cost (Observation 1 of the paper). The trace vocabulary owns the type.
+pub use tstorm_trace::HopClass;
 
 /// Stateful network model: computes delivery times and tracks per-node
 /// NIC availability so cross-node traffic contends for the 1 Gbps link.

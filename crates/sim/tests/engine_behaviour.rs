@@ -335,11 +335,11 @@ fn smooth_reassignment_loses_nothing() {
     assert!(late.is_some(), "still completing after re-assignment");
 }
 
-#[test]
-fn immediate_reassignment_drops_in_flight_work() {
+/// An 8-spout chain spread over slot 0 (node 0) and slot 2 (node 1) of
+/// a two-node cluster: inter-node hops keep plenty of messages in
+/// flight at any instant a worker dies.
+fn wide_chain_on_two_nodes() -> Simulation {
     let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
-    // Many spouts spread over both nodes: inter-node hops keep plenty of
-    // messages in flight at the moment supervisors kill the workers.
     let topo = TopologyBuilder::new("chain")
         .spout("src", 8, &["v"])
         .bolt("b1", 4, &["v"], &[("src", Grouping::Shuffle)])
@@ -351,6 +351,12 @@ fn immediate_reassignment_drops_in_flight_work() {
     let mut f = identity_factory();
     sim.submit_topology(&topo, &mut f);
     sim.apply_assignment(&spread_over(&sim, &[0, 2]));
+    sim
+}
+
+#[test]
+fn immediate_reassignment_drops_in_flight_work() {
+    let mut sim = wide_chain_on_two_nodes();
     sim.run_until(SimTime::from_secs(30));
     sim.submit_assignment(&spread_over(&sim, &[1, 3]));
     sim.run_until(SimTime::from_secs(120));
@@ -362,11 +368,25 @@ fn immediate_reassignment_drops_in_flight_work() {
         sim.dropped_in_flight(),
         sim.failed()
     );
+    // No fault fired, so every drop is relocation churn.
+    assert_eq!(sim.tuples_lost(), 0);
     // But the system recovers and keeps processing.
     let report = sim.report("x");
     assert!(report
         .mean_proc_time_after(SimTime::from_secs(60))
         .is_some());
+}
+
+#[test]
+fn crash_losses_and_relocation_drops_are_counted_apart() {
+    let mut sim = wide_chain_on_two_nodes();
+    let plan = FaultPlan::from_specs(["worker-crash@t=30,node=0,slot=0"]).expect("valid plan");
+    sim.apply_fault_plan(&plan).expect("plan fits the cluster");
+    sim.run_until(SimTime::from_secs(60));
+    // The crash destroyed work and orphaned its executors; no scheduler
+    // moved anything, so nothing counts as relocation churn.
+    assert!(sim.tuples_lost() > 0, "the crash must destroy tuples");
+    assert_eq!(sim.dropped_in_flight(), 0);
 }
 
 #[test]
@@ -515,79 +535,33 @@ fn all_grouping_broadcasts_to_every_executor() {
 }
 
 #[test]
-fn recoverable_worker_failure_restarts_in_place() {
+fn worker_crash_on_an_empty_slot_is_a_noop() {
     let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
     let mut f = identity_factory();
     sim.submit_topology(&chain_topology(1), &mut f);
     sim.apply_assignment(&all_on_slot(&sim, 0));
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(30), true);
-    sim.run_until(SimTime::from_secs(120));
-
-    assert_eq!(sim.worker_failures(), 1);
-    // The worker restarted on the same slot and kept processing.
-    let report = sim.report("x");
-    assert_eq!(report.nodes_used.last(), Some(&1));
-    assert!(report
-        .mean_proc_time_after(SimTime::from_secs(60))
-        .is_some());
-    // In-service/queued work was lost: either dropped in flight or timed
-    // out (and replay re-emitted it).
-    assert!(sim.completed() > 10_000);
-}
-
-#[test]
-fn unrecoverable_worker_failure_relocates_to_another_node() {
-    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
-    let mut f = identity_factory();
-    sim.submit_topology(&chain_topology(1), &mut f);
-    sim.apply_assignment(&all_on_slot(&sim, 0)); // node 0
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(30), false);
-    sim.run_until(SimTime::from_secs(120));
-
-    assert_eq!(sim.worker_failures(), 1);
-    // Executors moved to a slot on node 1 and processing resumed there.
-    let a = sim.current_assignment();
-    let nodes: std::collections::BTreeSet<_> = a
-        .slots_used()
-        .iter()
-        .map(|s| {
-            ClusterSpec::homogeneous(2, 2, Mhz::new(8000.0))
-                .unwrap()
-                .node_of(*s)
-        })
-        .collect();
-    assert_eq!(nodes.len(), 1);
-    assert!(a.slots_used().iter().all(|s| s.index() >= 2), "{a:?}");
-    assert!(
-        sim.report("x")
-            .mean_proc_time_after(SimTime::from_secs(60))
-            .is_some(),
-        "processing resumed after relocation"
-    );
-}
-
-#[test]
-fn failure_on_empty_slot_is_a_noop() {
-    let mut sim = Simulation::new(cluster(2, 2), SimConfig::default());
-    let mut f = identity_factory();
-    sim.submit_topology(&chain_topology(1), &mut f);
-    sim.apply_assignment(&all_on_slot(&sim, 0));
-    sim.inject_worker_failure(SlotId::new(3), SimTime::from_secs(10), true);
+    // Slot 1 of node 1 hosts no worker.
+    let plan = FaultPlan::from_specs(["worker-crash@t=10,node=1,slot=1"]).expect("valid plan");
+    sim.apply_fault_plan(&plan).expect("plan fits the cluster");
     sim.run_until(SimTime::from_secs(30));
-    assert_eq!(sim.worker_failures(), 0);
+    assert_eq!(sim.faults_injected(), 1);
+    assert_eq!(sim.tuples_lost(), 0);
+    assert_eq!(sim.unplaced_executors(), 0);
     assert!(sim.completed() > 1000);
 }
 
 #[test]
-fn unrecoverable_failure_without_free_slots_keeps_executors_down() {
-    // Single node, single slot: nowhere to relocate.
+fn worker_crash_keeps_executors_down() {
+    // The engine never restarts a crashed worker: re-placing its
+    // executors is the control plane's job, and none runs here.
     let mut sim = Simulation::new(cluster(1, 1), SimConfig::default());
     let mut f = identity_factory();
     sim.submit_topology(&chain_topology(1), &mut f);
     sim.apply_assignment(&all_on_slot(&sim, 0));
     sim.run_until(SimTime::from_secs(20));
     let before = sim.completed();
-    sim.inject_worker_failure(SlotId::new(0), SimTime::from_secs(20), false);
+    let plan = FaultPlan::from_specs(["worker-crash@t=20,node=0,slot=0"]).expect("valid plan");
+    sim.apply_fault_plan(&plan).expect("plan fits the cluster");
     sim.run_until(SimTime::from_secs(60));
     // Nothing can run any more; completions stop (in-flight acks may add
     // a handful right at the failure instant).
@@ -598,6 +572,7 @@ fn unrecoverable_failure_without_free_slots_keeps_executors_down() {
         before
     );
     assert!(sim.current_assignment().is_empty());
+    assert_eq!(sim.unplaced_executors(), sim.executor_descriptors().len());
 }
 
 /// Runs the chain topology across both nodes of a two-node cluster for

@@ -5,6 +5,7 @@
 use std::collections::BTreeSet;
 use tstorm::cluster::ClusterSpec;
 use tstorm::core::{SystemMode, TStormConfig, TStormSystem};
+use tstorm::sim::{FaultEvent, FaultKind, FaultPlan};
 use tstorm::trace::{EventCategory, JsonlWriter, Observer, SharedSink};
 use tstorm::types::{Mhz, SimTime};
 use tstorm::workloads::throughput::{self, ThroughputParams};
@@ -29,8 +30,8 @@ struct RunResult {
 }
 
 /// Runs the Throughput Test with a scripted mid-run disruption — a
-/// scheduler hot-swap, a γ change, and a recoverable worker failure —
-/// so the control plane and failure paths all leave trace events.
+/// scheduler hot-swap, a γ change, and a worker crash from a fault
+/// plan — so the control plane and failure paths all leave trace events.
 fn disrupted_run(seed: u64, traced: bool) -> RunResult {
     let p = ThroughputParams::small();
     let topo = throughput::topology(&p).expect("valid");
@@ -47,17 +48,29 @@ fn disrupted_run(seed: u64, traced: bool) -> RunResult {
     system.run_until(SimTime::from_secs(60)).expect("runs");
     system.swap_scheduler("t-storm-ls").expect("swaps");
     system.set_gamma(2.5).expect("gamma");
-    let victim = *system
-        .simulation()
+    let sim = system.simulation();
+    let victim = *sim
         .current_assignment()
         .slots_used()
         .iter()
         .next()
         .expect("assignment uses slots");
-    let fail_at = system.simulation().now() + SimTime::from_secs(1);
+    let node = sim.cluster().node_of(victim);
+    let local_slot = sim
+        .cluster()
+        .slots_of(node)
+        .find(|s| s.slot == victim)
+        .expect("a slot belongs to its node")
+        .local_index;
+    let mut plan = FaultPlan::new();
+    plan.push(FaultEvent {
+        at: sim.now() + SimTime::from_secs(1),
+        kind: FaultKind::WorkerCrash { node, local_slot },
+    });
     system
         .simulation_mut()
-        .inject_worker_failure(victim, fail_at, true);
+        .apply_fault_plan(&plan)
+        .expect("plan fits the cluster");
     system.run_until(SimTime::from_secs(150)).expect("runs");
 
     let jsonl =
@@ -122,7 +135,7 @@ fn trace_covers_every_event_category() {
 
     // The disruption script guarantees at least one event of every
     // category: data plane (tuple/queue/process), worker lifecycle
-    // (initial rollout + injected failure) and the control plane
+    // (initial rollout + worker crash) and the control plane
     // (generation, hot-swap, γ).
     for expected in [
         "tuple_emit",
