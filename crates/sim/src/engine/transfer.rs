@@ -28,7 +28,7 @@ const ENVELOPE_POOL_CAP: usize = 1 << 16;
 const BATCH_MAX_AGE_FACTOR: u64 = 8;
 
 impl Simulation {
-    pub(super) fn on_deliver(&mut self, mut env: Box<Envelope>) {
+    pub(super) fn on_deliver(&mut self, env: Box<Envelope>) {
         let idx = env.dst.as_usize();
         if env.dst_epoch != self.executors[idx].epoch {
             // The destination worker was stopped while this message was
@@ -37,6 +37,12 @@ impl Simulation {
             self.recycle_envelope(env);
             return;
         }
+        self.enqueue(idx, env);
+        self.try_start(ExecutorId::new(idx as u32));
+    }
+
+    /// Appends a delivered tuple to its destination's input queue.
+    fn enqueue(&mut self, idx: usize, mut env: Box<Envelope>) {
         let tuple = env.root.map_or(u64::MAX, TupleId::get);
         env.delivered_at = self.clock;
         self.executors[idx].queue.push_back(env);
@@ -46,10 +52,6 @@ impl Simulation {
             executor: idx as u32,
             depth,
         });
-        let id = ExecutorId::new(idx as u32);
-        if self.is_available(idx) && self.executors[idx].busy.is_none() {
-            self.try_start(id);
-        }
     }
 
     /// Routes every output tuple along the producing component's outgoing
@@ -413,27 +415,16 @@ impl Simulation {
         // comparable across batch sizes.
         self.events_processed += (batch.tuples.len() as u64).saturating_sub(1);
         let idx = batch.dst.as_usize();
-        for mut env in batch.tuples.drain(..) {
+        for env in batch.tuples.drain(..) {
             if env.dst_epoch != self.executors[idx].epoch {
                 self.drop_undeliverable(1, self.executors[idx].location.is_none());
                 continue;
             }
-            let tuple = env.root.map_or(u64::MAX, TupleId::get);
-            env.delivered_at = self.clock;
             let boxed = self.boxed_envelope(env);
-            self.executors[idx].queue.push_back(boxed);
-            let depth = self.executors[idx].queue.len() as u64;
-            self.emit_trace(|| TraceEvent::QueueEnter {
-                tuple,
-                executor: idx as u32,
-                depth,
-            });
+            self.enqueue(idx, boxed);
         }
         self.recycle_batch(batch);
-        let id = ExecutorId::new(idx as u32);
-        if self.is_available(idx) && self.executors[idx].busy.is_none() {
-            self.try_start(id);
-        }
+        self.try_start(ExecutorId::new(idx as u32));
     }
 
     /// Returns a batch box to the batch pool, releasing its tuples'
