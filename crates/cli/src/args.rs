@@ -262,6 +262,11 @@ where
     }
 }
 
+/// Most slots `--nodes × --slots` may ask for: 500× the 2,000 of
+/// `scale-500`. A larger cluster exhausts memory while it is built,
+/// before the run even starts.
+const MAX_CLUSTER_SLOTS: u64 = 1_000_000;
+
 fn parse_options<I, S>(mut it: I) -> Result<RunOptions, ParseError>
 where
     I: Iterator<Item = S>,
@@ -366,6 +371,13 @@ where
     }
     if opts.nodes == 0 || opts.slots == 0 {
         return Err(ParseError("--nodes/--slots must be positive".to_owned()));
+    }
+    let slots = u64::from(opts.nodes) * u64::from(opts.slots);
+    if slots > MAX_CLUSTER_SLOTS {
+        return Err(ParseError(format!(
+            "--nodes {} × --slots {} is {slots} slots, above the limit of {MAX_CLUSTER_SLOTS}",
+            opts.nodes, opts.slots
+        )));
     }
     if opts.duration_secs == 0 {
         return Err(ParseError("--duration must be positive".to_owned()));

@@ -59,6 +59,16 @@ const MALFORMED: &[(&[&str], &str)] = &[
         "--gamma: `inf` must be finite and positive",
     ),
     (&["run", "--nodes", "0"], "must be positive"),
+    // A cluster too large to build must fail at parse time, not on
+    // allocation.
+    (
+        &["run", "--nodes", "100000000"],
+        "--nodes 100000000 × --slots 4 is 400000000 slots",
+    ),
+    (
+        &["run", "--slots", "100000000"],
+        "--nodes 10 × --slots 100000000 is 1000000000 slots",
+    ),
     // Seeds span u64 (sweep records them so); one past it is junk.
     (
         &["run", "--seed", "18446744073709551616"],

@@ -77,10 +77,6 @@ pub struct TStormSystem {
     recovery_events: u32,
     timeline: Vec<ControlEvent>,
     observer: Observer,
-    /// Capture wall-clock scheduler runtime into trace events (off by
-    /// default: wall time is nondeterministic and would break
-    /// byte-identical traces; the metrics histogram gets it either way).
-    trace_wall_time: bool,
     /// Whether schedulers record per-placement decisions.
     explain: bool,
     /// Every explanation captured this run: (store epoch, when,
@@ -160,7 +156,6 @@ impl TStormSystem {
             recovery_events: 0,
             timeline: Vec::new(),
             observer: Observer::disabled(),
-            trace_wall_time: false,
             explain: false,
             explanations: Vec::new(),
             recorder: None,
@@ -178,14 +173,6 @@ impl TStormSystem {
         self.sim.set_observer(observer.clone());
         self.monitor.set_observer(observer.clone());
         self.observer = observer;
-    }
-
-    /// Enables wall-clock scheduler-runtime capture in
-    /// [`TraceEvent::ScheduleGenerated`] events. Off by default because
-    /// wall time varies run to run, breaking byte-identical traces; the
-    /// `tstorm_schedule_runtime_us` histogram records it regardless.
-    pub fn set_trace_wall_time(&mut self, on: bool) {
-        self.trace_wall_time = on;
     }
 
     /// The observer attached to this system (disabled unless
@@ -831,13 +818,11 @@ impl TStormSystem {
             let quality = AssignmentQuality::evaluate(&assignment, &input);
             let at = self.sim.now();
             let algorithm = self.nimbus.scheduler_name();
-            let wall = self.trace_wall_time.then_some(elapsed_us).flatten();
             self.observer
                 .emit_with(at, || TraceEvent::ScheduleGenerated {
                     algorithm,
                     inter_node_traffic: quality.inter_node_traffic,
                     inter_process_traffic: quality.inter_process_traffic,
-                    elapsed_us: wall,
                 });
             self.observer.metrics(|m| {
                 m.inc_counter(

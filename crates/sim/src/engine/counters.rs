@@ -276,8 +276,10 @@ impl Simulation {
         self.emitted
     }
 
-    /// Messages dropped because their destination worker was killed by a
-    /// re-assignment (Immediate mode only).
+    /// Tuples dropped undelivered by routine relocation: a Storm-mode
+    /// rollout killed their worker, or an endpoint was unplaced while no
+    /// fault had fired. Crash losses count in
+    /// [`Simulation::tuples_lost`] instead.
     #[must_use]
     pub fn dropped_in_flight(&self) -> u64 {
         self.dropped_in_flight

@@ -25,8 +25,15 @@
 //! * **metrics**: per-tuple completion latency (1-minute averages, the
 //!   paper's metric), failed-tuple counts, nodes/workers in use;
 //! * **faults**: a deterministic [`FaultPlan`] crashes workers or whole
-//!   nodes and throttles NICs at scripted virtual times; the ack-timeout
-//!   replay machinery plus the control plane's re-scheduling recover.
+//!   nodes, throttles NICs, mutes heartbeats and takes Nimbus down at
+//!   scripted virtual times. A crash leaves its executors unplaced; the
+//!   control plane's re-scheduling places them again, and the
+//!   ack-timeout replay machinery re-emits the lost tuple trees.
+//!
+//! The [`engine`] module holds the [`Simulation`] struct and its event
+//! loop; one child module per concern (counters, service, transfer,
+//! acking, rollout, faults) implements the handlers. DESIGN.md §4 lists
+//! what each one owns and decides.
 //!
 //! Determinism: one seeded RNG drives every stochastic choice; equal
 //! seeds give bit-identical runs.

@@ -19,9 +19,9 @@ use tstorm_types::SimTime;
 /// cost model (§III): intra-executor/worker hops are nearly free,
 /// inter-process hops pay IPC, inter-node hops pay the network.
 ///
-/// This is the trace layer's own copy of the classification: the
-/// simulator depends on this crate, not the other way around, so the
-/// sim maps its internal hop type into this one when emitting.
+/// The one definition of the classification: the simulator's network
+/// model re-exports it as `tstorm_sim::network::HopClass`, so the cost
+/// model and the trace share the type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HopClass {
     /// Producer and consumer share a worker (JVM) — in-memory hand-off.
@@ -222,12 +222,6 @@ pub enum TraceEvent {
         inter_node_traffic: f64,
         /// Predicted inter-process traffic of the schedule (tuples/s).
         inter_process_traffic: f64,
-        /// Wall-clock scheduling time in microseconds. `None` unless
-        /// wall-clock capture was explicitly enabled: the field is
-        /// nondeterministic, and the default keeps trace files
-        /// byte-identical across same-seed runs (the value always
-        /// reaches the metrics histogram regardless).
-        elapsed_us: Option<u64>,
     },
     /// The load monitor flagged a node as overloaded.
     OverloadDetected {
@@ -462,14 +456,10 @@ impl TraceEvent {
                 algorithm,
                 inter_node_traffic,
                 inter_process_traffic,
-                elapsed_us,
             } => {
                 o.str("algorithm", algorithm)
                     .f64("inter_node_traffic", *inter_node_traffic)
                     .f64("inter_process_traffic", *inter_process_traffic);
-                if let Some(us) = elapsed_us {
-                    o.u64("elapsed_us", *us);
-                }
             }
             TraceEvent::OverloadDetected { node, utilisation } => {
                 o.u64("node", u64::from(*node))
@@ -556,22 +546,18 @@ mod tests {
     }
 
     #[test]
-    fn elapsed_us_absent_by_default() {
+    fn schedule_generated_serialises_with_fixed_fields() {
+        // No wall time: it varies run to run, so it reaches only the
+        // metrics histogram, never the deterministic trace.
         let ev = TraceEvent::ScheduleGenerated {
             algorithm: "tstorm".into(),
             inter_node_traffic: 10.5,
             inter_process_traffic: 3.25,
-            elapsed_us: None,
         };
-        let line = ev.to_jsonl(SimTime::ZERO);
-        assert!(!line.contains("elapsed_us"), "{line}");
-        let with = TraceEvent::ScheduleGenerated {
-            algorithm: "tstorm".into(),
-            inter_node_traffic: 10.5,
-            inter_process_traffic: 3.25,
-            elapsed_us: Some(42),
-        };
-        assert!(with.to_jsonl(SimTime::ZERO).contains("\"elapsed_us\":42"));
+        assert_eq!(
+            ev.to_jsonl(SimTime::ZERO),
+            r#"{"t":0,"type":"schedule_generated","algorithm":"tstorm","inter_node_traffic":10.5,"inter_process_traffic":3.25}"#
+        );
     }
 
     #[test]

@@ -8,18 +8,17 @@
 //!   assignment changes, scheduler decisions) is a [`TraceEvent`].
 //!   Events flow through a category [`TraceFilter`] and optional 1-in-N
 //!   sampling of the high-frequency data-plane categories into pluggable
-//!   [`TraceSink`]s: a JSON Lines stream ([`JsonlWriter`]), an in-memory
-//!   flight recorder ([`RingBufferSink`]), or nothing ([`NullSink`]).
+//!   [`TraceSink`]s: a JSON Lines stream ([`JsonlWriter`]) or an
+//!   in-memory flight recorder ([`RingBufferSink`]).
 //! - **Metrics** — instrumentation sites update labelled counter, gauge,
 //!   and histogram families in a [`MetricsRegistry`], exported in the
-//!   Prometheus text format or as a JSON dump.
+//!   Prometheus text format.
 //!
 //! The disabled observer ([`Observer::disabled`]) costs one pointer
 //! check per call site and constructs nothing, so an untraced simulation
 //! runs byte-identically to a build without instrumentation. An enabled
-//! observer never consults wall-clock time or randomness (the lone
-//! exception, scheduler wall time, is opt-in per event and off by
-//! default), so same-seed runs produce byte-identical JSONL traces.
+//! observer never consults wall-clock time or randomness, so same-seed
+//! runs produce byte-identical JSONL traces.
 //!
 //! ```
 //! use tstorm_trace::{Observer, RingBufferSink, SharedSink, TraceEvent};
@@ -52,7 +51,7 @@ pub use json::JsonValue;
 pub use observer::{Observer, ObserverBuilder, SharedSink, TraceFilter};
 pub use recorder::{parse_recording, FlightRecorder, RecordedRun, FLIGHT_RECORDER_VERSION};
 pub use registry::{MetricKind, MetricsRegistry};
-pub use sink::{JsonlWriter, NullSink, RingBufferSink, TraceSink};
+pub use sink::{JsonlWriter, RingBufferSink, TraceSink};
 pub use span::{
     extend as extend_span, sum_by_kind, CriticalPathCollector, PathTotals, RootBreakdown,
     SpanChain, SpanKind, SpanLink, SpanSeg,

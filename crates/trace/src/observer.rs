@@ -212,12 +212,6 @@ impl Observer {
         self.metrics(|m| m.render_prometheus())
     }
 
-    /// JSON dump of the registry (`None` if disabled).
-    #[must_use]
-    pub fn render_json(&self) -> Option<String> {
-        self.metrics(|m| m.render_json())
-    }
-
     /// Flushes every sink. Errors are collected into the first failure.
     pub fn flush(&self) -> std::io::Result<()> {
         if let Some(inner) = &self.inner {

@@ -1,5 +1,5 @@
 //! A simulator-wide metrics registry: labelled counter, gauge, and
-//! histogram families with Prometheus text exposition and a JSON dump.
+//! histogram families with Prometheus text exposition.
 //!
 //! Families auto-register on first touch — instrumentation sites call
 //! `inc_counter`/`set_gauge`/`observe` with the family name, help text,
@@ -8,10 +8,10 @@
 //! inconsistent later touches panic, which turns instrumentation typos
 //! into immediate test failures instead of silently forked families.
 //!
-//! All storage is `BTreeMap`-ordered, so both exposition formats are
+//! All storage is `BTreeMap`-ordered, so the exposition is
 //! deterministic for a given set of recorded values.
 
-use crate::json::{write_escaped, write_f64, ObjectWriter};
+use crate::json::write_escaped;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use tstorm_metrics::LogHistogram;
@@ -249,58 +249,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders the whole registry as one JSON object:
-    /// `{"family": {"kind": …, "help": …, "series": [{"labels": {…},
-    /// …value fields…}]}}`. Parseable by [`crate::json::parse`].
-    #[must_use]
-    pub fn render_json(&self) -> String {
-        let mut root = ObjectWriter::new();
-        for (name, family) in &self.families {
-            let mut fam = ObjectWriter::new();
-            fam.str("kind", family.kind.prom_type())
-                .str("help", &family.help);
-            let mut series_json = String::from("[");
-            for (i, (values, series)) in family.series.iter().enumerate() {
-                if i > 0 {
-                    series_json.push(',');
-                }
-                let mut entry = ObjectWriter::new();
-                let mut labels = ObjectWriter::new();
-                for (k, v) in family.label_names.iter().zip(values) {
-                    labels.str(k, v);
-                }
-                entry.raw("labels", &labels.finish());
-                match series {
-                    Series::Counter(v) => {
-                        entry.u64("value", *v);
-                    }
-                    Series::Gauge(v) => {
-                        entry.f64("value", *v);
-                    }
-                    Series::Histogram { hist, sum } => {
-                        entry.u64("count", hist.count()).f64("sum", *sum);
-                        let mut buckets = String::from("[");
-                        for (i, (le, count)) in hist.nonzero_buckets().enumerate() {
-                            if i > 0 {
-                                buckets.push(',');
-                            }
-                            buckets.push('[');
-                            write_f64(&mut buckets, le);
-                            let _ = write!(buckets, ",{count}]");
-                        }
-                        buckets.push(']');
-                        entry.raw("buckets", &buckets);
-                    }
-                }
-                series_json.push_str(&entry.finish());
-            }
-            series_json.push(']');
-            fam.raw("series", &series_json);
-            root.raw(name, &fam.finish());
-        }
-        root.finish()
-    }
 }
 
 /// Escapes `# HELP` text: backslash and newline only, per the format
@@ -360,7 +308,6 @@ fn escape_label_value(out: &mut String, v: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
 
     #[test]
     fn counters_accumulate_per_label_set() {
@@ -444,34 +391,6 @@ mod tests {
     }
 
     #[test]
-    fn json_dump_round_trips() {
-        let mut r = MetricsRegistry::new();
-        r.inc_counter("c_total", "counts", &[("k", "v1")], 4);
-        r.set_gauge("g", "gauge", &[], -1.5);
-        r.observe("h_ms", "hist", &[("src", "x")], 2.0);
-        let dump = r.render_json();
-        let v = parse(&dump).expect("valid JSON");
-        let c = v.get("c_total").unwrap();
-        assert_eq!(c.get("kind").unwrap().as_str(), Some("counter"));
-        let series = c.get("series").unwrap().as_array().unwrap();
-        assert_eq!(series[0].get("value").unwrap().as_f64(), Some(4.0));
-        assert_eq!(
-            series[0].get("labels").unwrap().get("k").unwrap().as_str(),
-            Some("v1")
-        );
-        let h = v
-            .get("h_ms")
-            .unwrap()
-            .get("series")
-            .unwrap()
-            .as_array()
-            .unwrap();
-        assert_eq!(h[0].get("count").unwrap().as_f64(), Some(1.0));
-        assert_eq!(h[0].get("sum").unwrap().as_f64(), Some(2.0));
-        assert_eq!(h[0].get("buckets").unwrap().as_array().unwrap().len(), 1);
-    }
-
-    #[test]
     fn prometheus_exposition_golden() {
         // Conformance golden: the exact exposition text is pinned so
         // any drift in headers, label escaping, bucket cumulation or
@@ -541,6 +460,5 @@ tstorm_tuples_total{path=\"a\\\"quote\\\\slash\\nnewline\"} 7
         let r = MetricsRegistry::new();
         assert!(r.is_empty());
         assert_eq!(r.render_prometheus(), "");
-        assert_eq!(r.render_json(), "{}");
     }
 }

@@ -21,15 +21,6 @@ pub trait TraceSink: Send {
     }
 }
 
-/// Discards everything. Useful as an explicit "trace plumbing on, output
-/// off" configuration in tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&mut self, _at: SimTime, _event: &TraceEvent) {}
-}
-
 /// Keeps the last `capacity` events in memory — a flight recorder for
 /// post-mortem inspection in tests and interactive debugging.
 #[derive(Debug)]
