@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_metrics::RunReport;
 use tstorm_topology::{ComponentSpec, CostProfile, ExecutionPlan, SharedValues, Topology};
-use tstorm_trace::{CriticalPathCollector, Observer, SpanChain, TraceEvent};
+use tstorm_trace::{CriticalPathCollector, Observer, SpanTree, TraceEvent};
 use tstorm_types::{
     Bytes, ComponentId, DetRng, ExecutorId, SimTime, Slab, SlabHandle, SlotId, TopologyId, TupleId,
 };
@@ -149,14 +149,18 @@ struct RootState {
     acker: Option<ExecutorId>,
     /// For acker-less topologies: outstanding anchored tuples.
     outstanding: i64,
+    /// Every span segment this root's messages recorded. Empty (and
+    /// unallocated) while span collection is off.
+    spans: SpanTree,
 }
 
 /// Causal context an emit inherits from its producer: the ack-tree
-/// root it is anchored to and the span chain built so far.
-struct Lineage<'a> {
+/// root it is anchored to and the producer's newest step in that root's
+/// span tree.
+struct Lineage {
     root: Option<TupleId>,
     root_handle: Option<SlabHandle>,
-    chain: &'a SpanChain,
+    span: u32,
 }
 
 /// The discrete-event simulation of one Storm cluster.
@@ -238,9 +242,13 @@ pub struct Simulation {
     events_processed: u64,
     observer: Observer,
     /// Streaming critical-path analyzer. `None` (the default) keeps the
-    /// span plane fully inert: envelopes carry a `None` chain, nothing
-    /// allocates, and every instrumentation site is one pointer check.
+    /// span plane fully inert: envelopes carry `NO_SPAN`, span trees
+    /// stay empty, nothing allocates, and every instrumentation site is
+    /// one pointer check.
     spans: Option<Box<CriticalPathCollector>>,
+    /// Cleared span trees of completed or timed-out roots, reused by
+    /// the next emissions.
+    span_pool: Vec<SpanTree>,
     /// Monotonic version of applied assignments (for trace events).
     assignment_version: u64,
     /// Fault-plan events fired so far.
@@ -328,6 +336,7 @@ impl Simulation {
             events_processed: 0,
             observer: Observer::disabled(),
             spans: None,
+            span_pool: Vec::new(),
             assignment_version: 0,
             faults_injected: 0,
             tuples_lost: 0,
@@ -350,9 +359,10 @@ impl Simulation {
         self.observer = observer;
     }
 
-    /// Enables causal span collection: every tuple lineage grows a chain
-    /// of queue/service/network/replay segments, and each completed root
-    /// feeds the streaming [`CriticalPathCollector`]. Executors of
+    /// Enables causal span collection: every ack-tree root grows a span
+    /// tree of queue/service/network/replay segments, and each completed
+    /// root feeds its critical path to the streaming
+    /// [`CriticalPathCollector`]. Executors of
     /// already-submitted topologies are labelled with their component
     /// names; later submissions label themselves. Idempotent.
     pub fn enable_spans(&mut self) {
@@ -580,7 +590,7 @@ impl Simulation {
 mod tests {
     use super::*;
 
-    /// A whole simulation — payloads, span chains, logic boxes — can
+    /// A whole simulation — payloads, span trees, logic boxes — can
     /// move across threads.
     #[test]
     fn simulation_is_send() {

@@ -6,7 +6,7 @@ use super::{BusyWork, Simulation};
 use crate::event::{EnvelopeKind, Event};
 use crate::logic::ExecutorLogic;
 use tstorm_topology::{SharedValues, Value};
-use tstorm_trace::{extend_span, SpanSeg, TraceEvent};
+use tstorm_trace::{SpanSeg, TraceEvent, NO_SPAN};
 use tstorm_types::{ExecutorId, NodeId, SimTime, TupleId};
 
 impl Simulation {
@@ -172,18 +172,22 @@ impl Simulation {
                 self.finish_spout_emission(id, work.outputs, work.replays, work.replay_queued_at);
             }
             Some(env) => {
-                let chain = if self.spans.is_some() {
+                let span = if self.spans.is_some() {
                     // Attribute the wait since delivery and the service
                     // interval to this executor on the node that ran it.
                     let node = NodeId::new(work.busy_node as u32);
                     let queued = self.span_micros(work.started_at, env.delivered_at);
                     let serviced = self.span_micros(work.done_at, work.started_at);
-                    let c = extend_span(&env.chain, SpanSeg::queue(id, node, queued));
-                    extend_span(&c, SpanSeg::service(id, node, serviced))
+                    let queue = self.record_span(
+                        env.root_handle,
+                        env.span,
+                        SpanSeg::queue(id, node, queued),
+                    );
+                    self.record_span(env.root_handle, queue, SpanSeg::service(id, node, serviced))
                 } else {
-                    None
+                    NO_SPAN
                 };
-                self.finish_message(id, &env, work.outputs, chain);
+                self.finish_message(id, &env, work.outputs, span);
                 self.recycle_envelope(env);
             }
         }

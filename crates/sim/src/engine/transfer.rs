@@ -8,7 +8,7 @@ use crate::event::{BatchEnvelope, Envelope, EnvelopeKind, Event};
 use crate::network::{classify, HopClass};
 use crate::routing::{group_tasks_by_destination, select_tasks_into};
 use tstorm_topology::{SharedValues, Value};
-use tstorm_trace::{extend_span, SpanChain, SpanSeg, TraceEvent};
+use tstorm_trace::{SpanSeg, TraceEvent};
 use tstorm_types::{Bytes, ComponentId, ExecutorId, NodeId, SimTime, SlabHandle, TupleId};
 
 /// Upper bound on recycled boxes retained by each free-list pool (the
@@ -67,13 +67,13 @@ impl Simulation {
         src: ExecutorId,
         topo_idx: usize,
         component: ComponentId,
-        lineage: Lineage<'_>,
+        lineage: Lineage,
         outputs: &mut Vec<SharedValues>,
     ) -> (u64, u64) {
         let Lineage {
             root,
             root_handle,
-            chain,
+            span,
         } = lineage;
         let mut xor = 0u64;
         let mut count = 0u64;
@@ -130,7 +130,7 @@ impl Simulation {
                         root_handle,
                         dst_epoch: self.executors[dst.as_usize()].epoch,
                         kind: EnvelopeKind::Data,
-                        chain: chain.clone(),
+                        span,
                         delivered_at: SimTime::ZERO,
                         staged_at: SimTime::ZERO,
                     };
@@ -153,7 +153,7 @@ impl Simulation {
         kind: EnvelopeKind,
         root: TupleId,
         root_handle: Option<SlabHandle>,
-        chain: SpanChain,
+        span: u32,
     ) {
         let env = Envelope {
             values: self.empty_values.clone(),
@@ -165,7 +165,7 @@ impl Simulation {
             root_handle,
             dst_epoch: self.executors[dst.as_usize()].epoch,
             kind,
-            chain,
+            span,
             delivered_at: SimTime::ZERO,
             staged_at: SimTime::ZERO,
         };
@@ -263,10 +263,8 @@ impl Simulation {
                 .delivery_time(self.clock, hop, payload, src_node, dst_node, extra_workers);
         if self.spans.is_some() {
             let micros = self.span_micros(at, self.clock);
-            env.chain = extend_span(
-                &env.chain,
-                SpanSeg::network(env.src, src_node, env.dst, dst_node, hop, micros),
-            );
+            let seg = SpanSeg::network(env.src, src_node, env.dst, dst_node, hop, micros);
+            env.span = self.record_span(env.root_handle, env.span, seg);
         }
         let boxed = self.boxed_envelope(env);
         self.queue.push(at, Event::Deliver(boxed));
@@ -358,13 +356,10 @@ impl Simulation {
         );
         if self.spans.is_some() {
             // Fan the batch's one network trip back out per tuple.
-            for i in 0..batch.tuples.len() {
-                let micros = self.span_micros(at, batch.tuples[i].staged_at);
-                let t = &mut batch.tuples[i];
-                t.chain = extend_span(
-                    &t.chain,
-                    SpanSeg::network(t.src, src_node, t.dst, dst_node, hop, micros),
-                );
+            for t in &mut batch.tuples {
+                let micros = self.span_micros(at, t.staged_at);
+                let seg = SpanSeg::network(t.src, src_node, t.dst, dst_node, hop, micros);
+                t.span = self.record_span(t.root_handle, t.span, seg);
             }
         }
         self.queue.push(at, Event::DeliverBatch(batch));
@@ -476,7 +471,6 @@ impl Simulation {
             return;
         }
         env.values = self.empty_values.clone();
-        env.chain = None;
         self.env_pool.push(env);
     }
 

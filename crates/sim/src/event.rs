@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 
 use crate::fault::FaultKind;
 use tstorm_topology::SharedValues;
-use tstorm_trace::SpanChain;
 use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, TupleId};
 
 /// Routing/acking metadata carried by every in-flight message.
@@ -66,10 +65,12 @@ pub struct Envelope {
     pub dst_epoch: u32,
     /// What the message is.
     pub kind: EnvelopeKind,
-    /// Causal span chain from the root's emit up to (and including) the
-    /// network hop that carried this message. `None` whenever span
-    /// collection is disabled, so the inert path never allocates.
-    pub chain: SpanChain,
+    /// This message's newest step in its root's span tree (see
+    /// [`tstorm_trace::SpanTree`]): the network hop that carried it,
+    /// whose path runs back to the root's emit. [`tstorm_trace::NO_SPAN`]
+    /// when span collection is disabled, for control messages with no
+    /// root handle, and once the root has completed or timed out.
+    pub span: u32,
     /// When the envelope entered the destination executor's input queue;
     /// the gap to service start is the queue span.
     pub delivered_at: SimTime,
