@@ -157,6 +157,9 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
     let fault_plan = FaultPlan::from_specs(&opts.faults)
         .map_err(|e| TStormError::invalid_config("--fault", e.to_string()))?;
     let mut system = TStormSystem::new(cluster, config)?;
+    if let Some(path) = &opts.csv {
+        create_up_front("--csv", path)?;
+    }
     let observer = build_observer(opts)?;
     if observer.is_enabled() {
         system.set_observer(observer.clone());
@@ -332,13 +335,18 @@ fn build_observer(opts: &RunOptions) -> Result<Observer> {
         builder = builder.sink(Box::new(JsonlWriter::new(BufWriter::new(file))));
     }
     if let Some(path) = &opts.prom {
-        // Fail before the (possibly long) run, not after it: the file
-        // is rewritten with the real metrics once the run finishes.
-        File::create(path).map_err(|e| {
-            TStormError::invalid_config("--prom", format!("cannot create {path}: {e}"))
-        })?;
+        create_up_front("--prom", path)?;
     }
     Ok(builder.build())
+}
+
+/// Creates an output file before the (possibly long) run, so an
+/// unwritable path fails at once instead of after the run; the file is
+/// rewritten with the real output once the run finishes.
+fn create_up_front(flag: &str, path: &str) -> Result<()> {
+    File::create(path)
+        .map(drop)
+        .map_err(|e| TStormError::invalid_config(flag, format!("cannot create {path}: {e}")))
 }
 
 impl ScenarioOutcome {

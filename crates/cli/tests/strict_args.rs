@@ -92,6 +92,22 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["run", "--fault", "nimbus-crash@t=1e20,dur=1"],
         "`t` overflows the microsecond clock",
     ),
+    // `compare` runs both systems with one set of options: a run-only
+    // flag would be ignored, or its one output path written twice.
+    (&["compare", "--system", "storm"], "--system is run-only"),
+    (&["compare", "--csv", "out.csv"], "--csv is run-only"),
+    (&["compare", "--trace", "t.jsonl"], "--trace is run-only"),
+    (&["compare", "--prom", "m.prom"], "--prom is run-only"),
+    (
+        &["compare", "--flight-recorder", "r.jsonl"],
+        "--flight-recorder is run-only",
+    ),
+    // The parser knows the registry's names, so a typo exits 2 with
+    // usage instead of failing as a runtime error.
+    (
+        &["run", "--scheduler", "nosuch"],
+        "unknown scheduler `nosuch` (known: aniello-offline, aniello-online, ",
+    ),
 ];
 
 #[test]
@@ -110,6 +126,34 @@ fn malformed_invocations_exit_two_and_name_the_problem() {
         );
         assert!(stderr.contains("USAGE"), "stderr shows usage for {args:?}");
     }
+}
+
+/// An unwritable `--csv` path fails before the run, as `--trace`,
+/// `--prom` and `--flight-recorder` do: exit 1, and no summary, because
+/// nothing was simulated.
+#[test]
+fn unwritable_csv_fails_before_the_run() {
+    let dir = std::env::temp_dir().join("tstorm-cli-csv-test");
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let not_a_dir = dir.join("file");
+    std::fs::write(&not_a_dir, "").expect("write");
+    let csv = not_a_dir.join("out.csv");
+    let out = run(&[
+        "run",
+        "--duration",
+        "30",
+        "--quiet",
+        "--csv",
+        &csv.to_string_lossy(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("--csv") && stderr.contains("cannot create"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "the run never started");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
