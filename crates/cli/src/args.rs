@@ -4,6 +4,7 @@ use crate::scenario::Topology;
 use std::fmt;
 use tstorm_core::SystemMode;
 use tstorm_sched::SchedulerRegistry;
+use tstorm_sim::fault::FaultKind;
 
 /// A `--scale` preset: a named large-cluster shape with heterogeneous
 /// CPU and NIC classes and a wide chain workload sized to ≥10k
@@ -208,9 +209,10 @@ OPTIONS (run/compare):
     --rate      F      input lines/s (queue workloads) [300]
     --csv       PATH   write 1-minute series as CSV  (run only)
     --trace PATH       stream trace events as JSON Lines  (run only)
-    --trace-filter CAT[,CAT...]  keep only these categories
-                       (tuple|queue|process|worker|control)
+    --trace-filter CAT[,CAT...]  keep only these trace categories
+                       (tuple|queue|process|worker|control; needs --trace)
     --trace-sample N   keep 1 in N data-plane trace events  [1]
+                       (needs --trace)
     --prom  PATH       write metrics in Prometheus text format  (run only)
     --fault SPEC       inject a fault (repeatable). Specs:
                        worker-crash@t=SECS,node=N,slot=S
@@ -286,6 +288,8 @@ where
     S: AsRef<str>,
 {
     let mut opts = RunOptions::default();
+    let mut trace_sampled = false;
+    let mut faults = Vec::new();
     while let Some(flag) = it.next() {
         let flag = flag.as_ref();
         if compare && RUN_ONLY.contains(&flag) {
@@ -344,6 +348,7 @@ where
                 opts.trace_filter = Some(spec);
             }
             "--trace-sample" => {
+                trace_sampled = true;
                 opts.trace_sample = u64::from(parse_int::<u32>(flag, &value(flag)?)?);
                 if opts.trace_sample == 0 {
                     return Err(ParseError("--trace-sample must be positive".to_owned()));
@@ -352,8 +357,9 @@ where
             "--prom" => opts.prom = Some(value(flag)?),
             "--fault" => {
                 let spec = value(flag)?;
-                tstorm_sim::fault::parse_spec(&spec)
+                let fault = tstorm_sim::fault::parse_spec(&spec)
                     .map_err(|e| ParseError(format!("--fault: {e}")))?;
+                faults.push(fault.kind);
                 opts.faults.push(spec);
             }
             "--max-replays" => opts.max_replays = Some(parse_int(flag, &value(flag)?)?),
@@ -409,6 +415,38 @@ where
     }
     if opts.duration_secs == 0 {
         return Err(ParseError("--duration must be positive".to_owned()));
+    }
+    if opts.trace.is_none() {
+        // Without a trace there is nothing to filter or sample; under
+        // `compare`, which takes no `--trace`, neither flag can work.
+        for (flag, given) in [
+            ("--trace-filter", opts.trace_filter.is_some()),
+            ("--trace-sample", trace_sampled),
+        ] {
+            if given {
+                return Err(ParseError(format!("{flag} needs --trace")));
+            }
+        }
+    }
+    // A preset overrides `--nodes`/`--slots`, so targets are checked
+    // against the cluster the run will build.
+    let (nodes, slots) = opts.scale.map_or((opts.nodes, opts.slots), |class| {
+        (class.nodes(), class.slots())
+    });
+    for (spec, kind) in opts.faults.iter().zip(&faults) {
+        if let Some(node) = kind.node().filter(|n| n.index() >= nodes) {
+            return Err(ParseError(format!(
+                "--fault `{spec}`: node {} is outside the cluster's {nodes} nodes",
+                node.index()
+            )));
+        }
+        if let FaultKind::WorkerCrash { local_slot, .. } = kind {
+            if *local_slot >= slots {
+                return Err(ParseError(format!(
+                    "--fault `{spec}`: slot {local_slot} is outside the {slots} slots of a node"
+                )));
+            }
+        }
     }
     Ok(opts)
 }

@@ -108,6 +108,54 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["run", "--scheduler", "nosuch"],
         "unknown scheduler `nosuch` (known: aniello-offline, aniello-online, ",
     ),
+    // A fault target outside the cluster the run would build fails at
+    // parse time, not after set-up; a `--scale` preset's shape counts.
+    (
+        &["run", "--fault", "node-crash@t=10,node=999"],
+        "--fault `node-crash@t=10,node=999`: node 999 is outside the cluster's 10 nodes",
+    ),
+    (
+        &["run", "--fault", "worker-crash@t=1,node=0,slot=99"],
+        "--fault `worker-crash@t=1,node=0,slot=99`: slot 99 is outside the 4 slots of a node",
+    ),
+    (
+        &["run", "--fault", "nic-slow@t=1,node=50,factor=2,dur=5"],
+        "--fault `nic-slow@t=1,node=50,factor=2,dur=5`: node 50 is outside the cluster's 10 nodes",
+    ),
+    (
+        &["run", "--fault", "heartbeat-loss@t=1,node=50,dur=5"],
+        "--fault `heartbeat-loss@t=1,node=50,dur=5`: node 50 is outside the cluster's 10 nodes",
+    ),
+    (
+        &[
+            "run",
+            "--nodes",
+            "100",
+            "--scale",
+            "scale-100",
+            "--fault",
+            "node-crash@t=1,node=100",
+        ],
+        "node 100 is outside the cluster's 100 nodes",
+    ),
+    // Without a trace there is nothing to filter or sample, and
+    // `compare` takes no `--trace`.
+    (
+        &["run", "--trace-sample", "5"],
+        "--trace-sample needs --trace",
+    ),
+    (
+        &["run", "--trace-filter", "tuple"],
+        "--trace-filter needs --trace",
+    ),
+    (
+        &["compare", "--trace-filter", "tuple"],
+        "--trace-filter needs --trace",
+    ),
+    (
+        &["compare", "--trace-sample", "1"],
+        "--trace-sample needs --trace",
+    ),
 ];
 
 #[test]

@@ -1,15 +1,51 @@
 //! One monitoring window's raw readings.
+//!
+//! Readings are kept as key-ordered flat arrays: the engine's counters
+//! hand them over in key order, so each record is an append, and
+//! [`crate::StatsDb::ingest`] walks them against its own key-ordered
+//! estimates without hashing or re-sorting.
 
-use std::collections::BTreeMap;
 use tstorm_types::{ExecutorId, SimTime};
+
+/// Packs a directed executor pair into one key whose numeric order
+/// equals (`from`, then `to`) order.
+#[inline]
+pub(crate) fn pair_key(from: ExecutorId, to: ExecutorId) -> u64 {
+    (u64::from(from.index()) << 32) | u64::from(to.index())
+}
+
+/// The inverse of [`pair_key`].
+#[inline]
+pub(crate) fn unpack_pair(key: u64) -> (ExecutorId, ExecutorId) {
+    (
+        ExecutorId::new((key >> 32) as u32),
+        ExecutorId::new(key as u32),
+    )
+}
+
+/// Adds `amount` to `key`'s reading in a key-ordered array: an append
+/// when `key` sorts after every held key, a binary-search insert
+/// otherwise.
+fn accumulate<K: Ord + Copy>(readings: &mut Vec<(K, u64)>, key: K, amount: u64) {
+    match readings.last_mut() {
+        Some(last) if last.0 == key => last.1 += amount,
+        Some(last) if last.0 > key => match readings.binary_search_by_key(&key, |r| r.0) {
+            Ok(i) => readings[i].1 += amount,
+            Err(i) => readings.insert(i, (key, amount)),
+        },
+        _ => readings.push((key, amount)),
+    }
+}
 
 /// The instantaneous readings of one monitoring period — what the per-node
 /// load monitor daemons observe before EWMA smoothing.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WindowSnapshot {
     period: SimTime,
-    executor_cycles: BTreeMap<ExecutorId, u64>,
-    pair_tuples: BTreeMap<(ExecutorId, ExecutorId), u64>,
+    /// Cycles per executor, in executor order.
+    executor_cycles: Vec<(ExecutorId, u64)>,
+    /// Tuples per directed pair, in packed-key order.
+    pair_tuples: Vec<(u64, u64)>,
 }
 
 impl WindowSnapshot {
@@ -23,8 +59,8 @@ impl WindowSnapshot {
         assert!(period > SimTime::ZERO, "period must be non-zero");
         Self {
             period,
-            executor_cycles: BTreeMap::new(),
-            pair_tuples: BTreeMap::new(),
+            executor_cycles: Vec::new(),
+            pair_tuples: Vec::new(),
         }
     }
 
@@ -37,23 +73,31 @@ impl WindowSnapshot {
     /// Accumulates CPU cycles consumed by an executor during the window
     /// (the JMX `getThreadCpuTime` equivalent).
     pub fn record_cpu(&mut self, executor: ExecutorId, cycles: u64) {
-        *self.executor_cycles.entry(executor).or_insert(0) += cycles;
+        accumulate(&mut self.executor_cycles, executor, cycles);
     }
 
     /// Accumulates tuples sent from one executor to another during the
     /// window.
     pub fn record_traffic(&mut self, from: ExecutorId, to: ExecutorId, tuples: u64) {
-        *self.pair_tuples.entry((from, to)).or_insert(0) += tuples;
+        accumulate(&mut self.pair_tuples, pair_key(from, to), tuples);
     }
 
     /// Per-executor cycles, in executor order.
     pub fn cpu_readings(&self) -> impl Iterator<Item = (ExecutorId, u64)> + '_ {
-        self.executor_cycles.iter().map(|(e, c)| (*e, *c))
+        self.executor_cycles.iter().copied()
     }
 
     /// Per-pair tuple counts, in key order.
     pub fn traffic_readings(&self) -> impl Iterator<Item = (ExecutorId, ExecutorId, u64)> + '_ {
-        self.pair_tuples.iter().map(|((f, t), n)| (*f, *t, *n))
+        self.pair_tuples.iter().map(|&(key, n)| {
+            let (from, to) = unpack_pair(key);
+            (from, to, n)
+        })
+    }
+
+    /// Per-pair tuple counts by packed pair key, in key order.
+    pub(crate) fn pair_readings(&self) -> &[(u64, u64)] {
+        &self.pair_tuples
     }
 
     /// True if the window observed nothing.
@@ -84,6 +128,37 @@ mod tests {
             vec![(e(0), e(1), 15)]
         );
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn out_of_order_records_insert_and_accumulate_in_key_order() {
+        let mut s = WindowSnapshot::new(SimTime::from_secs(20));
+        for (f, t, n) in [
+            (2, 0, 1),
+            (0, 5, 2),
+            (2, 0, 3),
+            (1, 1, 4),
+            (0, 5, 5),
+            (3, 0, 6),
+        ] {
+            s.record_traffic(e(f), e(t), n);
+        }
+        for (ex, c) in [(4, 10), (1, 20), (4, 30), (0, 40)] {
+            s.record_cpu(e(ex), c);
+        }
+        assert_eq!(
+            s.traffic_readings().collect::<Vec<_>>(),
+            vec![
+                (e(0), e(5), 7),
+                (e(1), e(1), 4),
+                (e(2), e(0), 4),
+                (e(3), e(0), 6)
+            ]
+        );
+        assert_eq!(
+            s.cpu_readings().collect::<Vec<_>>(),
+            vec![(e(0), 40), (e(1), 20), (e(4), 40)]
+        );
     }
 
     #[test]

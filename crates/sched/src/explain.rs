@@ -15,7 +15,7 @@
 //! recording touches no randomness or wall-clock time, so explanations
 //! are as deterministic as the schedules they describe.
 
-use crate::problem::SchedulingInput;
+use crate::problem::{Adjacency, Neighbour, SchedulingInput};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use tstorm_cluster::Assignment;
@@ -126,32 +126,69 @@ impl ScheduleExplanation {
 /// Schedulers whose search is not per-executor-greedy (round-robin,
 /// pack-then-place) use this to report the *outcome* of each placement
 /// with a phase description in `tie_break`.
+///
+/// Each executor's figures come from its adjacency row, so the whole
+/// call is linear in the matrix. The sums repeat a per-executor scan of
+/// the matrix bit for bit: the total adds the touching entries in key
+/// order (a self-pair once), and the inter-node share adds each
+/// neighbour's undirected rate `0.0 + r(a,b) + r(b,a)` in neighbour-id
+/// order.
 #[must_use]
 pub fn decisions_from_assignment(
     input: &SchedulingInput,
     assignment: &Assignment,
     tie_break: &str,
 ) -> Vec<PlacementDecision> {
-    let node_of = |exec: ExecutorId| assignment.slot_of(exec).map(|s| input.cluster.node_of(s));
+    let adjacency = Adjacency::build(input);
+    let node_of_id = |exec: ExecutorId| assignment.slot_of(exec).map(|s| input.cluster.node_of(s));
+    let node_at: Vec<Option<NodeId>> = input.executors.iter().map(|e| node_of_id(e.id)).collect();
+    let node_of = |nb: &Neighbour| match nb.pos {
+        Adjacency::OUTSIDE => node_of_id(nb.id),
+        pos => node_at[pos as usize],
+    };
+    // Scratch reused across rows: the row sorted by neighbour, and one
+    // undirected rate per neighbour.
+    let mut by_id: Vec<Neighbour> = Vec::new();
+    let mut undirected: Vec<(Neighbour, f64)> = Vec::new();
     input
         .executors
         .iter()
-        .filter_map(|info| {
+        .enumerate()
+        .filter_map(|(pos, info)| {
             let slot = assignment.slot_of(info.id)?;
             let node = input.cluster.node_of(slot);
-            let inter: f64 = input
-                .traffic
-                .neighbours_of(info.id)
-                .into_iter()
-                .filter(|(other, _)| node_of(*other).is_some_and(|n| n != node))
-                .map(|(_, rate)| rate)
+            let row = adjacency.row(pos);
+            // A self-pair sits in its row twice, once per endpoint;
+            // it counts once.
+            let mut self_seen = false;
+            let total: f64 = row
+                .iter()
+                .filter(|nb| nb.id != info.id || !std::mem::replace(&mut self_seen, true))
+                .map(|nb| nb.rate)
+                .sum();
+            // Group the row by neighbour; the stable sort keeps each
+            // neighbour's two directions in key order.
+            by_id.clear();
+            by_id.extend_from_slice(row);
+            by_id.sort_by_key(|nb| nb.id);
+            undirected.clear();
+            for nb in &by_id {
+                match undirected.last_mut() {
+                    Some((first, rate)) if first.id == nb.id => *rate += nb.rate,
+                    _ => undirected.push((*nb, 0.0 + nb.rate)),
+                }
+            }
+            let inter: f64 = undirected
+                .iter()
+                .filter(|(nb, _)| nb.id != info.id && node_of(nb).is_some_and(|n| n != node))
+                .map(|(_, rate)| *rate)
                 .sum();
             Some(PlacementDecision {
                 executor: info.id,
                 slot,
                 node,
                 load_mhz: info.load.get(),
-                traffic_total: input.traffic.total_of(info.id) + 0.0,
+                traffic_total: total + 0.0,
                 // Halved so summing over all decisions counts each
                 // inter-node pair once; `+ 0.0` normalizes -0.0 so
                 // rendered and serialized zeros are unsigned.
@@ -224,6 +261,107 @@ mod tests {
         assert!(text.contains("note: cap relaxed once"), "{text}");
         assert!(text.contains("exec-3"), "{text}");
         assert!(text.contains("[executor cap 2 relaxed]"), "{text}");
+    }
+
+    /// The per-executor scan over the whole matrix that
+    /// `decisions_from_assignment` must reproduce bit for bit:
+    /// `(traffic_total, objective_delta)` of one placed executor.
+    fn scan_oracle(input: &SchedulingInput, assignment: &Assignment, id: ExecutorId) -> (f64, f64) {
+        let node_of = |e: ExecutorId| assignment.slot_of(e).map(|s| input.cluster.node_of(s));
+        let node = node_of(id).expect("placed");
+        let total: f64 = input
+            .traffic
+            .iter()
+            .filter(|(f, t, _)| *f == id || *t == id)
+            .map(|(_, _, r)| r)
+            .sum();
+        let mut undirected: std::collections::BTreeMap<ExecutorId, f64> = Default::default();
+        for (f, t, r) in input.traffic.iter() {
+            if f == id {
+                *undirected.entry(t).or_insert(0.0) += r;
+            } else if t == id {
+                *undirected.entry(f).or_insert(0.0) += r;
+            }
+        }
+        let inter: f64 = undirected
+            .into_iter()
+            .filter(|(other, _)| node_of(*other).is_some_and(|n| n != node))
+            .map(|(_, r)| r)
+            .sum();
+        (total + 0.0, inter / 2.0 + 0.0)
+    }
+
+    #[test]
+    fn decisions_match_the_whole_matrix_scan_bit_for_bit() {
+        use tstorm_types::DetRng;
+        for case in 0..200u64 {
+            let mut rng = DetRng::seed_from(0xE7 + case);
+            let nodes = 1 + rng.below(4) as u32;
+            let cluster = ClusterSpec::homogeneous(nodes, 2, Mhz::new(4000.0)).unwrap();
+            let ne = 1 + rng.below(14) as u32;
+            // Ids are shuffled against input order, and traffic also
+            // touches ids past the input (placed or not).
+            let mut ids: Vec<u32> = (0..ne).collect();
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.below(i + 1));
+            }
+            let executors: Vec<ExecutorInfo> = ids
+                .iter()
+                .map(|&i| {
+                    ExecutorInfo::new(
+                        ExecutorId::new(i),
+                        TopologyId::new(0),
+                        ComponentId::new(0),
+                        Mhz::new(10.0),
+                    )
+                })
+                .collect();
+            let span = ne as usize + 3;
+            let mut traffic = TrafficMatrix::new();
+            for _ in 0..rng.below(40) {
+                let a = ExecutorId::new(rng.below(span) as u32);
+                let b = if rng.below(8) == 0 {
+                    a
+                } else {
+                    ExecutorId::new(rng.below(span) as u32)
+                };
+                let r = rng.range_f64(0.001, 1000.0);
+                traffic.add(a, b, r);
+                if rng.below(2) == 0 {
+                    traffic.add(b, a, rng.range_f64(0.001, 1000.0));
+                }
+            }
+            let input = SchedulingInput::new(cluster, executors, traffic, SchedParams::default());
+            let mut assignment = Assignment::new();
+            for i in 0..span as u32 {
+                if rng.below(5) != 0 {
+                    let slot = SlotId::new(rng.below(2 * nodes as usize) as u32);
+                    assignment.assign(ExecutorId::new(i), slot);
+                }
+            }
+            let decisions = decisions_from_assignment(&input, &assignment, "oracle");
+            let placed: Vec<ExecutorId> = input
+                .executors
+                .iter()
+                .map(|e| e.id)
+                .filter(|id| assignment.slot_of(*id).is_some())
+                .collect();
+            assert_eq!(decisions.len(), placed.len(), "case {case}");
+            for (d, id) in decisions.iter().zip(placed) {
+                assert_eq!(d.executor, id, "case {case}");
+                let (total, delta) = scan_oracle(&input, &assignment, id);
+                assert_eq!(
+                    d.traffic_total.to_bits(),
+                    total.to_bits(),
+                    "case {case} {id}"
+                );
+                assert_eq!(
+                    d.objective_delta.to_bits(),
+                    delta.to_bits(),
+                    "case {case} {id}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,9 +34,11 @@ impl ExecutorInfo {
 /// The directed inter-executor traffic estimate `r_{ii'}` in tuples per
 /// second, from the load monitor's EWMA.
 ///
-/// Entries are sparse: absent pairs carry zero traffic. Iteration order is
-/// deterministic (`BTreeMap`), which keeps the greedy schedulers
-/// reproducible.
+/// Entries are sparse: absent pairs carry zero traffic. They are held
+/// as one flat array sorted by `(from, to)`, so iteration order is
+/// deterministic, which keeps the greedy schedulers reproducible, and
+/// the whole path from the monitor's estimates to Algorithm 1 is linear
+/// walks over sorted arrays.
 ///
 /// # Example
 ///
@@ -53,7 +55,8 @@ impl ExecutorInfo {
 /// ```
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrafficMatrix {
-    entries: BTreeMap<(ExecutorId, ExecutorId), f64>,
+    /// `(from, to, rate)`, strictly increasing in `(from, to)`.
+    entries: Vec<(ExecutorId, ExecutorId, f64)>,
 }
 
 impl TrafficMatrix {
@@ -63,26 +66,37 @@ impl TrafficMatrix {
         Self::default()
     }
 
+    fn find(&self, from: ExecutorId, to: ExecutorId) -> Result<usize, usize> {
+        self.entries
+            .binary_search_by(|&(f, t, _)| (f, t).cmp(&(from, to)))
+    }
+
     /// Sets the traffic rate from `from` to `to` (tuples/second).
     pub fn set(&mut self, from: ExecutorId, to: ExecutorId, rate: f64) {
-        if rate > 0.0 {
-            self.entries.insert((from, to), rate);
-        } else {
-            self.entries.remove(&(from, to));
+        match (self.find(from, to), rate > 0.0) {
+            (Ok(i), true) => self.entries[i].2 = rate,
+            (Err(i), true) => self.entries.insert(i, (from, to, rate)),
+            (Ok(i), false) => {
+                self.entries.remove(i);
+            }
+            (Err(_), false) => {}
         }
     }
 
     /// Adds to the traffic rate from `from` to `to`.
     pub fn add(&mut self, from: ExecutorId, to: ExecutorId, rate: f64) {
         if rate != 0.0 {
-            *self.entries.entry((from, to)).or_insert(0.0) += rate;
+            match self.find(from, to) {
+                Ok(i) => self.entries[i].2 += rate,
+                Err(i) => self.entries.insert(i, (from, to, 0.0 + rate)),
+            }
         }
     }
 
     /// The directed rate from `from` to `to` (zero if unrecorded).
     #[must_use]
     pub fn get(&self, from: ExecutorId, to: ExecutorId) -> f64 {
-        self.entries.get(&(from, to)).copied().unwrap_or(0.0)
+        self.find(from, to).map_or(0.0, |i| self.entries[i].2)
     }
 
     /// The undirected rate between two executors
@@ -98,14 +112,14 @@ impl TrafficMatrix {
     pub fn total_of(&self, executor: ExecutorId) -> f64 {
         self.entries
             .iter()
-            .filter(|((f, t), _)| *f == executor || *t == executor)
-            .map(|(_, r)| *r)
+            .filter(|(f, t, _)| *f == executor || *t == executor)
+            .map(|(_, _, r)| *r)
             .sum()
     }
 
     /// Iterates `(from, to, rate)` triples in key order.
     pub fn iter(&self) -> impl Iterator<Item = (ExecutorId, ExecutorId, f64)> + '_ {
-        self.entries.iter().map(|((f, t), r)| (*f, *t, *r))
+        self.entries.iter().copied()
     }
 
     /// All undirected neighbours of one executor with positive traffic,
@@ -113,11 +127,11 @@ impl TrafficMatrix {
     #[must_use]
     pub fn neighbours_of(&self, executor: ExecutorId) -> Vec<(ExecutorId, f64)> {
         let mut acc: BTreeMap<ExecutorId, f64> = BTreeMap::new();
-        for ((f, t), r) in &self.entries {
-            if *f == executor {
-                *acc.entry(*t).or_insert(0.0) += r;
-            } else if *t == executor {
-                *acc.entry(*f).or_insert(0.0) += r;
+        for &(f, t, r) in &self.entries {
+            if f == executor {
+                *acc.entry(t).or_insert(0.0) += r;
+            } else if t == executor {
+                *acc.entry(f).or_insert(0.0) += r;
             }
         }
         acc.into_iter().collect()
@@ -138,23 +152,132 @@ impl TrafficMatrix {
     /// Sum of all directed rates.
     #[must_use]
     pub fn total(&self) -> f64 {
-        self.entries.values().sum()
+        self.entries.iter().map(|(_, _, r)| r).sum()
     }
 }
 
-/// Collects `(from, to, rate)` triples, skipping non-positive rates like
-/// [`TrafficMatrix::set`]; if a pair repeats, its last rate wins. The
-/// map is bulk-built, which is linear when the triples arrive in key
-/// order.
+/// Takes `(from, to, rate)` triples, skipping non-positive rates like
+/// [`TrafficMatrix::set`]; if a pair repeats, its last rate wins. Input
+/// already in strictly increasing key order is kept as it is, in one
+/// pass; any other input is stably sorted in place.
+impl From<Vec<(ExecutorId, ExecutorId, f64)>> for TrafficMatrix {
+    fn from(mut entries: Vec<(ExecutorId, ExecutorId, f64)>) -> Self {
+        entries.retain(|(_, _, rate)| *rate > 0.0);
+        if !entries
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
+        {
+            entries.sort_by_key(|&(f, t, _)| (f, t));
+            // `dedup_by` passes the later entry first and keeps the
+            // earlier one, so carry the later rate over.
+            entries.dedup_by(|later, kept| {
+                let repeat = (later.0, later.1) == (kept.0, kept.1);
+                if repeat {
+                    kept.2 = later.2;
+                }
+                repeat
+            });
+        }
+        Self { entries }
+    }
+}
+
+/// Collects `(from, to, rate)` triples under the rules of the
+/// `From<Vec<_>>` conversion.
 impl FromIterator<(ExecutorId, ExecutorId, f64)> for TrafficMatrix {
     fn from_iter<I: IntoIterator<Item = (ExecutorId, ExecutorId, f64)>>(iter: I) -> Self {
-        Self {
-            entries: iter
-                .into_iter()
-                .filter(|(_, _, rate)| *rate > 0.0)
-                .map(|(from, to, rate)| ((from, to), rate))
-                .collect(),
+        Self::from(iter.into_iter().collect::<Vec<_>>())
+    }
+}
+
+/// One entry of an [`Adjacency`] row: the other endpoint of a matrix
+/// entry and that entry's directed rate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Neighbour {
+    /// The other endpoint.
+    pub(crate) id: ExecutorId,
+    /// Its position in [`SchedulingInput::executors`], or
+    /// [`Adjacency::OUTSIDE`] when the input does not hold it.
+    pub(crate) pos: u32,
+    /// The directed rate of the matrix entry.
+    pub(crate) rate: f64,
+}
+
+/// The undirected traffic adjacency of an input's executors, in
+/// compressed sparse rows: one flat entry array plus row offsets.
+///
+/// Row `p` belongs to the executor at position `p` of
+/// [`SchedulingInput::executors`]. It lists every matrix entry touching
+/// that executor, in matrix key order, so sums over a row repeat the
+/// same float additions in the same order on every build. A neighbour
+/// outside the input stays in the row (its traffic counts toward the
+/// executor's total), and a self-pair appears twice, once per endpoint.
+#[derive(Debug)]
+pub(crate) struct Adjacency {
+    /// Row `p` is `entries[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    entries: Vec<Neighbour>,
+}
+
+impl Adjacency {
+    /// The position of a neighbour that is not in the input.
+    pub(crate) const OUTSIDE: u32 = u32::MAX;
+
+    /// Builds the rows with one counting and one filling walk over the
+    /// matrix.
+    pub(crate) fn build(input: &SchedulingInput) -> Self {
+        // Positions by executor id. Ids are minted densely, so the
+        // table is about as long as the input.
+        let ids = input.executors.iter().map(|e| e.id.as_usize() + 1).max();
+        let mut positions = vec![Self::OUTSIDE; ids.unwrap_or(0)];
+        for (p, e) in input.executors.iter().enumerate() {
+            positions[e.id.as_usize()] = u32::try_from(p).expect("fewer than 2^32 executors");
         }
+        let pos = |id: ExecutorId| {
+            positions
+                .get(id.as_usize())
+                .copied()
+                .unwrap_or(Self::OUTSIDE)
+        };
+        let n = input.executors.len();
+        let mut offsets = vec![0usize; n + 1];
+        for (from, to, _) in input.traffic.iter() {
+            for p in [pos(from), pos(to)] {
+                if p != Self::OUTSIDE {
+                    offsets[p as usize + 1] += 1;
+                }
+            }
+        }
+        for p in 0..n {
+            offsets[p + 1] += offsets[p];
+        }
+        let mut fill = offsets.clone();
+        let empty = Neighbour {
+            id: ExecutorId::new(0),
+            pos: Self::OUTSIDE,
+            rate: 0.0,
+        };
+        let mut entries = vec![empty; offsets[n]];
+        for (from, to, rate) in input.traffic.iter() {
+            let (pf, pt) = (pos(from), pos(to));
+            for (p, id, other) in [(pf, to, pt), (pt, from, pf)] {
+                if p != Self::OUTSIDE {
+                    let slot = &mut fill[p as usize];
+                    entries[*slot] = Neighbour {
+                        id,
+                        pos: other,
+                        rate,
+                    };
+                    *slot += 1;
+                }
+            }
+        }
+        Self { offsets, entries }
+    }
+
+    /// The row of the executor at position `pos`.
+    pub(crate) fn row(&self, pos: usize) -> &[Neighbour] {
+        &self.entries[self.offsets[pos]..self.offsets[pos + 1]]
     }
 }
 

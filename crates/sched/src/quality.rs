@@ -4,7 +4,7 @@
 use crate::problem::SchedulingInput;
 use serde::{Deserialize, Serialize};
 use tstorm_cluster::Assignment;
-use tstorm_types::{ExecutorId, FxHashMap, SlotId};
+use tstorm_types::{ExecutorId, SlotId};
 
 /// The traffic/consolidation quality of one assignment under one input.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,16 +35,24 @@ impl AssignmentQuality {
         let mut inter_node = 0.0;
         let mut inter_process = 0.0;
         let mut intra_worker = 0.0;
-        // Hashed slot lookups: the matrix holds ~10^6 pairs at scale-100
-        // sizes, two lookups each.
-        let slots: FxHashMap<ExecutorId, SlotId> = assignment.iter().collect();
+        // Slots by executor id: the matrix holds ~10^6 pairs at scale-100
+        // sizes, two lookups each, and ids are minted densely.
+        let len = assignment
+            .iter()
+            .last()
+            .map_or(0, |(e, _)| e.as_usize() + 1);
+        let mut slots: Vec<Option<SlotId>> = vec![None; len];
+        for (exec, slot) in assignment.iter() {
+            slots[exec.as_usize()] = Some(slot);
+        }
+        let slot_of = |e: ExecutorId| slots.get(e.as_usize()).copied().flatten();
         for (from, to, rate) in input.traffic.iter() {
-            let (Some(sf), Some(st)) = (slots.get(&from), slots.get(&to)) else {
+            let (Some(sf), Some(st)) = (slot_of(from), slot_of(to)) else {
                 continue;
             };
             if sf == st {
                 intra_worker += rate;
-            } else if cluster.node_of(*sf) == cluster.node_of(*st) {
+            } else if cluster.node_of(sf) == cluster.node_of(st) {
                 inter_process += rate;
             } else {
                 inter_node += rate;

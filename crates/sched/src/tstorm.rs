@@ -49,10 +49,10 @@
 
 use crate::explain::{PlacementDecision, ScheduleExplanation};
 use crate::incremental::CachedInput;
-use crate::problem::SchedulingInput;
+use crate::problem::{Adjacency, Neighbour, SchedulingInput};
 use crate::Scheduler;
 use tstorm_cluster::{Assignment, ClusterSpec};
-use tstorm_types::{ExecutorId, FxHashMap, Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
+use tstorm_types::{FxHashMap, Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
 
 /// Incremental replays bail out when more than this fraction of the
 /// executors changed load — at that point the per-delta argmin scans
@@ -140,13 +140,14 @@ struct SolveCache {
     slots: Vec<SlotId>,
 }
 
-/// Internal per-schedule working state.
+/// Internal per-schedule working state, indexed by executor position
+/// in the input and by node index.
 struct State<'a> {
     input: &'a SchedulingInput,
-    /// Undirected adjacency: executor -> (neighbour, rate). Built once so
-    /// cost maintenance is O(degree) per placement, keeping the whole
-    /// loop within the paper's O(Ne log Ne + Ne·Ns) plus O(|traffic|).
-    adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
+    /// Undirected adjacency. Built once so cost maintenance is
+    /// O(degree) per placement, keeping the whole loop within the
+    /// paper's O(Ne log Ne + Ne·Ns) plus O(|traffic|).
+    adjacency: Adjacency,
     /// Topology owning each slot, if any.
     slot_topology: Vec<Option<TopologyId>>,
     /// Number of executors in each slot.
@@ -157,10 +158,12 @@ struct State<'a> {
     node_count: Vec<usize>,
     /// The unique slot of (node, topology), once opened.
     node_topo_slot: FxHashMap<(NodeId, TopologyId), SlotId>,
-    /// For each executor: traffic to already-assigned executors, per node.
-    node_traffic: FxHashMap<ExecutorId, Vec<f64>>,
-    /// For each executor: total traffic to already-assigned executors.
-    assigned_traffic: FxHashMap<ExecutorId, f64>,
+    /// Traffic from each executor to already-assigned executors, per
+    /// node: row-major, executor `p`'s traffic to node `k` at
+    /// `p * nodes + k`.
+    node_traffic: Vec<f64>,
+    /// Total traffic from each executor to already-assigned executors.
+    assigned_traffic: Vec<f64>,
 }
 
 /// How strictly constraints are enforced while searching for a slot.
@@ -178,30 +181,17 @@ impl<'a> State<'a> {
     fn new(input: &'a SchedulingInput) -> Self {
         let ns = input.cluster.num_slots();
         let k = input.cluster.num_nodes();
-        let mut adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
-            input.executors.iter().map(|e| (e.id, Vec::new())).collect();
-        for (from, to, rate) in input.traffic.iter() {
-            if let Some(v) = adjacency.get_mut(&from) {
-                v.push((to, rate));
-            }
-            if let Some(v) = adjacency.get_mut(&to) {
-                v.push((from, rate));
-            }
-        }
+        let n = input.executors.len();
         Self {
             input,
-            adjacency,
+            adjacency: Adjacency::build(input),
             slot_topology: vec![None; ns],
             slot_count: vec![0; ns],
             node_load: vec![Mhz::ZERO; k],
             node_count: vec![0; k],
             node_topo_slot: FxHashMap::default(),
-            node_traffic: input
-                .executors
-                .iter()
-                .map(|e| (e.id, vec![0.0; k]))
-                .collect(),
-            assigned_traffic: input.executors.iter().map(|e| (e.id, 0.0)).collect(),
+            node_traffic: vec![0.0; n * k],
+            assigned_traffic: vec![0.0; n],
         }
     }
 
@@ -240,19 +230,20 @@ impl<'a> State<'a> {
         self.node_load[node_idx] + load <= cap
     }
 
-    /// Incremental inter-node traffic of placing `executor` on `node`
-    /// (Algorithm 1 line 5): traffic to assigned executors on all *other*
-    /// nodes.
-    fn placement_cost(&self, executor: ExecutorId, node: NodeId) -> f64 {
-        let total = self.assigned_traffic[&executor];
-        let local = self.node_traffic[&executor][node.as_usize()];
+    /// Incremental inter-node traffic of placing the executor at
+    /// position `pos` on `node` (Algorithm 1 line 5): traffic to
+    /// assigned executors on all *other* nodes.
+    fn placement_cost(&self, pos: usize, node: NodeId) -> f64 {
+        let total = self.assigned_traffic[pos];
+        let local = self.node_traffic[pos * self.input.cluster.num_nodes() + node.as_usize()];
         total - local
     }
 
-    fn place(&mut self, executor: ExecutorId, load: Mhz, topology: TopologyId, slot: SlotId) {
+    fn place(&mut self, pos: usize, load: Mhz, topology: TopologyId, slot: SlotId) {
         let node = self.input.cluster.node_of(slot);
         let j = slot.as_usize();
         let k = node.as_usize();
+        let nodes = self.input.cluster.num_nodes();
         self.slot_topology[j] = Some(topology);
         self.slot_count[j] += 1;
         self.node_load[k] += load;
@@ -260,15 +251,11 @@ impl<'a> State<'a> {
         self.node_topo_slot.insert((node, topology), slot);
         // Incremental cost maintenance: every neighbour of the newly
         // placed executor now sees its traffic to `node` increase.
-        let Some(neighbours) = self.adjacency.get(&executor) else {
-            return;
-        };
-        for (other, rate) in neighbours {
-            if let Some(v) = self.node_traffic.get_mut(other) {
-                v[k] += rate;
-            }
-            if let Some(t) = self.assigned_traffic.get_mut(other) {
-                *t += rate;
+        for nb in self.adjacency.row(pos) {
+            if nb.pos != Adjacency::OUTSIDE {
+                let other = nb.pos as usize;
+                self.node_traffic[other * nodes + k] += nb.rate;
+                self.assigned_traffic[other] += nb.rate;
             }
         }
     }
@@ -309,15 +296,8 @@ impl Scheduler for TStormScheduler {
         // determinism. Totals come from the prebuilt adjacency (one pass
         // over the traffic matrix, not one scan per executor).
         let mut order: Vec<usize> = (0..input.executors.len()).collect();
-        let totals: Vec<f64> = input
-            .executors
-            .iter()
-            .map(|e| {
-                state
-                    .adjacency
-                    .get(&e.id)
-                    .map_or(0.0, |v| v.iter().map(|(_, r)| r).sum())
-            })
+        let totals: Vec<f64> = (0..input.executors.len())
+            .map(|p| state.adjacency.row(p).iter().map(|nb| nb.rate).sum())
             .collect();
         order.sort_by(|&a, &b| {
             totals[b]
@@ -337,14 +317,7 @@ impl Scheduler for TStormScheduler {
                 Strictness::NoCap,
                 Strictness::StructuralOnly,
             ] {
-                chosen = best_slot(
-                    &state,
-                    info.id,
-                    info.topology,
-                    info.load,
-                    cap_count,
-                    strictness,
-                );
+                chosen = best_slot(&state, idx, info.topology, info.load, cap_count, strictness);
                 if chosen.is_some() {
                     match strictness {
                         Strictness::Full => {}
@@ -389,7 +362,7 @@ impl Scheduler for TStormScheduler {
                     relaxation,
                 });
             }
-            state.place(info.id, info.load, info.topology, candidate.slot);
+            state.place(idx, info.load, info.topology, candidate.slot);
             assignment.assign(info.id, candidate.slot);
             placed_slots.push(candidate.slot);
         }
@@ -397,6 +370,9 @@ impl Scheduler for TStormScheduler {
             explanation.notes.extend(self.relaxations.iter().cloned());
             self.explanation = Some(explanation);
         }
+        // The working state goes before the cache copies the input, so
+        // the two never peak together.
+        drop(state);
         // Cache unrelaxed solves for the incremental replay. A relaxed
         // solve is not replayable (the replay only proves Full-strictness
         // decisions), so it leaves the cache empty.
@@ -426,7 +402,7 @@ struct Candidate {
 /// (consolidation), then lower node id (determinism).
 fn best_slot(
     state: &State<'_>,
-    executor: ExecutorId,
+    pos: usize,
     topology: TopologyId,
     load: Mhz,
     cap_count: usize,
@@ -445,7 +421,7 @@ fn best_slot(
         if !state.node_feasible(node.id, load, cap_count, strictness) {
             continue;
         }
-        let cost = state.placement_cost(executor, node.id);
+        let cost = state.placement_cost(pos, node.id);
         let fresh_node = state.node_count[node.id.as_usize()] == 0;
         let key = (cost, fresh_node, node.id);
         let replace = match &best {
@@ -504,18 +480,9 @@ fn replay_with_delta(
         in_delta[i] = true;
     }
 
-    // Same adjacency construction as `State::new`, so on-demand cost
-    // sums replay the full solve's float operations in the same order.
-    let mut adjacency: FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>> =
-        input.executors.iter().map(|e| (e.id, Vec::new())).collect();
-    for (from, to, rate) in input.traffic.iter() {
-        if let Some(v) = adjacency.get_mut(&from) {
-            v.push((to, rate));
-        }
-        if let Some(v) = adjacency.get_mut(&to) {
-            v.push((from, rate));
-        }
-    }
+    // The adjacency `State::new` builds, so on-demand cost sums replay
+    // the full solve's float operations in the same order.
+    let adjacency = Adjacency::build(input);
 
     let mut slot_topology: Vec<Option<TopologyId>> = vec![None; ns];
     let mut node_topo_slot: FxHashMap<(NodeId, TopologyId), SlotId> = FxHashMap::default();
@@ -528,9 +495,10 @@ fn replay_with_delta(
     let mut diverged = vec![false; k];
     let mut diverged_nodes: Vec<usize> = Vec::new();
 
-    // Executor -> (placement position, node): position-sorted walks of
-    // the adjacency reproduce the full solve's accumulation order.
-    let mut placed: FxHashMap<ExecutorId, (u32, NodeId)> = FxHashMap::default();
+    // (placement position, node) per placed executor, by input
+    // position: placement-ordered walks of the adjacency reproduce the
+    // full solve's accumulation order.
+    let mut placed: Vec<Option<(u32, NodeId)>> = vec![None; n];
     let mut scratch = vec![0.0f64; k];
     let mut touched: Vec<usize> = Vec::new();
 
@@ -547,7 +515,7 @@ fn replay_with_delta(
             // strictness only — needing a relaxation means the cached
             // unrelaxed solve is not replayable.
             let total =
-                gather_assigned_traffic(info.id, &adjacency, &placed, &mut scratch, &mut touched);
+                gather_assigned_traffic(adjacency.row(idx), &placed, &mut scratch, &mut touched);
             let mut best: Option<((f64, bool, NodeId), SlotId)> = None;
             for node in cluster.nodes() {
                 if !cluster.is_node_live(node.id) {
@@ -621,8 +589,7 @@ fn replay_with_delta(
             }
             if !contenders.is_empty() {
                 let total = gather_assigned_traffic(
-                    info.id,
-                    &adjacency,
+                    adjacency.row(idx),
                     &placed,
                     &mut scratch,
                     &mut touched,
@@ -654,7 +621,7 @@ fn replay_with_delta(
             diverged[kk] = true;
             diverged_nodes.push(kk);
         }
-        placed.insert(info.id, (pos as u32, node));
+        placed[idx] = Some((pos as u32, node));
         assignment.assign(info.id, slot);
     }
     Some(assignment)
@@ -677,29 +644,26 @@ fn replay_candidate_slot(
         .map(|s| s.slot)
 }
 
-/// Traffic from `executor` to already-placed executors: returns the
-/// total and leaves the per-node split in `scratch` (reset it with
-/// [`clear_scratch`]). Additions happen in neighbour-placement order
-/// (ties keep adjacency order), which is exactly the order
-/// `State::place` feeds the full solve's running sums — so the resulting
-/// floats match the full solve bit for bit.
+/// Traffic from an executor (its adjacency `row`) to already-placed
+/// executors: returns the total and leaves the per-node split in
+/// `scratch` (reset it with [`clear_scratch`]). Additions happen in
+/// neighbour-placement order (ties keep row order), which is exactly the
+/// order `State::place` feeds the full solve's running sums — so the
+/// resulting floats match the full solve bit for bit.
 fn gather_assigned_traffic(
-    executor: ExecutorId,
-    adjacency: &FxHashMap<ExecutorId, Vec<(ExecutorId, f64)>>,
-    placed: &FxHashMap<ExecutorId, (u32, NodeId)>,
+    row: &[Neighbour],
+    placed: &[Option<(u32, NodeId)>],
     scratch: &mut [f64],
     touched: &mut Vec<usize>,
 ) -> f64 {
-    let mut entries: Vec<(u32, usize, f64)> = adjacency.get(&executor).map_or_else(Vec::new, |v| {
-        v.iter()
-            .filter_map(|(other, rate)| {
-                placed
-                    .get(other)
-                    .map(|(pos, node)| (*pos, node.as_usize(), *rate))
-            })
-            .collect()
-    });
-    entries.sort_by_key(|(pos, _, _)| *pos);
+    let mut entries: Vec<(u32, usize, f64)> = row
+        .iter()
+        .filter(|nb| nb.pos != Adjacency::OUTSIDE)
+        .filter_map(|nb| {
+            placed[nb.pos as usize].map(|(order, node)| (order, node.as_usize(), nb.rate))
+        })
+        .collect();
+    entries.sort_by_key(|(order, _, _)| *order);
     let mut total = 0.0;
     for (_, node, rate) in entries {
         total += rate;
@@ -721,7 +685,7 @@ mod tests {
     use crate::problem::{ExecutorInfo, SchedParams, TrafficMatrix};
     use crate::quality::AssignmentQuality;
     use tstorm_cluster::ClusterSpec;
-    use tstorm_types::ComponentId;
+    use tstorm_types::{ComponentId, ExecutorId};
 
     fn e(id: u32) -> ExecutorId {
         ExecutorId::new(id)

@@ -247,23 +247,34 @@ fn ewma_bounded_by_samples() {
 /// The stats database smooths with exactly [`Ewma::update`]: fed the
 /// same samples, including windows where a key is absent (a zero
 /// sample), every workload and traffic estimate equals a standalone
-/// `Ewma`'s bit for bit.
+/// `Ewma`'s bit for bit. Readings arrive in any order and may repeat a
+/// key (the snapshot accumulates them); pairs are first seen in later
+/// windows at both ends of the key range; and executors are retired
+/// between windows, one at a time or in bulk.
 #[test]
 fn statsdb_matches_ewma_bit_for_bit() {
     for case in 0..CASES {
         let mut rng = DetRng::seed_from(0x5DB + case);
         let alpha = rng.uniform();
         let period = SimTime::from_secs(1 + rng.below(60) as u64);
-        let execs = 1 + rng.below(6);
+        let execs = 1 + rng.below(8);
+        let windows = 1 + rng.below(40);
         let exec = |rng: &mut DetRng| ExecutorId::new(rng.below(execs) as u32);
-        let pairs: BTreeSet<(ExecutorId, ExecutorId)> = (0..1 + rng.below(8))
-            .map(|_| (exec(&mut rng), exec(&mut rng)))
+        // Each pair starts talking at some window; the lowest and the
+        // highest possible keys start late, so first-seen pairs land
+        // at both ends of the tracked range.
+        let mut pairs: BTreeMap<(ExecutorId, ExecutorId), usize> = (0..1 + rng.below(10))
+            .map(|_| ((exec(&mut rng), exec(&mut rng)), rng.below(windows)))
             .collect();
+        let top = ExecutorId::new(execs as u32);
+        pairs.insert((ExecutorId::new(0), ExecutorId::new(0)), 1 + rng.below(4));
+        pairs.insert((top, top), 1 + rng.below(4));
         let mut db = StatsDb::new(alpha);
         let mut loads: Vec<Option<Ewma>> = vec![None; execs];
         let mut rates: BTreeMap<(ExecutorId, ExecutorId), Ewma> = BTreeMap::new();
-        for window in 0..1 + rng.below(40) {
+        for window in 0..windows {
             let mut snap = WindowSnapshot::new(period);
+            let mut cpu: Vec<(ExecutorId, u64)> = Vec::new();
             for (i, load) in loads.iter_mut().enumerate() {
                 if rng.below(3) == 0 {
                     // Absent from the window: the database feeds a zero.
@@ -273,23 +284,77 @@ fn statsdb_matches_ewma_bit_for_bit() {
                     continue;
                 }
                 let cycles = rng.next_u64() >> (16 + rng.below(48));
-                snap.record_cpu(ExecutorId::new(i as u32), cycles);
+                cpu.push((ExecutorId::new(i as u32), cycles));
                 let sample = Mhz::from_cycles_over(cycles, period.as_micros()).get();
                 load.get_or_insert(Ewma::new(alpha)).update(sample);
             }
-            for &pair in &pairs {
-                if rng.below(3) == 0 {
+            let mut traffic: Vec<(ExecutorId, ExecutorId, u64)> = Vec::new();
+            for (&pair, &start) in &pairs {
+                if window < start || rng.below(3) == 0 {
                     if let Some(y) = rates.get_mut(&pair) {
                         y.update(0.0);
                     }
                     continue;
                 }
                 let tuples = rng.next_u64() >> (32 + rng.below(32));
-                snap.record_traffic(pair.0, pair.1, tuples);
+                traffic.push((pair.0, pair.1, tuples));
                 let sample = tuples as f64 / period.as_secs_f64();
                 rates.entry(pair).or_insert(Ewma::new(alpha)).update(sample);
             }
+            // Record in key order, reversed, or rotated with one reading
+            // split in two, so the snapshot appends, inserts before its
+            // last key and accumulates into a key it already holds.
+            match rng.below(3) {
+                0 => {}
+                1 => {
+                    cpu.reverse();
+                    traffic.reverse();
+                }
+                _ => {
+                    let (c, t) = (rng.below(cpu.len() + 1), rng.below(traffic.len() + 1));
+                    cpu.rotate_left(c);
+                    traffic.rotate_left(t);
+                    if let Some(first) = traffic.first_mut() {
+                        let part = first.2 / 3;
+                        first.2 -= part;
+                        let (f, t) = (first.0, first.1);
+                        traffic.push((f, t, part));
+                    }
+                }
+            }
+            for (e, cycles) in cpu {
+                snap.record_cpu(e, cycles);
+            }
+            for (f, t, tuples) in traffic {
+                snap.record_traffic(f, t, tuples);
+            }
             db.ingest(&snap);
+
+            // Retire executors between windows, as reassignments do.
+            match rng.below(6) {
+                0 => {
+                    let gone = ExecutorId::new(rng.below(execs + 1) as u32);
+                    db.forget_executor(gone);
+                    if let Some(load) = loads.get_mut(gone.as_usize()) {
+                        *load = None;
+                    }
+                    rates.retain(|(f, t), _| *f != gone && *t != gone);
+                }
+                1 => {
+                    let keep: BTreeSet<ExecutorId> = (0..=execs as u32)
+                        .filter(|_| rng.below(4) != 0)
+                        .map(ExecutorId::new)
+                        .collect();
+                    db.retain_executors(&keep);
+                    for (i, load) in loads.iter_mut().enumerate() {
+                        if !keep.contains(&ExecutorId::new(i as u32)) {
+                            *load = None;
+                        }
+                    }
+                    rates.retain(|(f, t), _| keep.contains(f) && keep.contains(t));
+                }
+                _ => {}
+            }
 
             for (i, load) in loads.iter().enumerate() {
                 let want = load.and_then(|y| y.get()).unwrap_or(0.0);
