@@ -503,11 +503,12 @@ impl Simulation {
 
     /// Runs the simulation until the given virtual time.
     pub fn run_until(&mut self, until: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t > until {
-                break;
-            }
-            let (_, event) = self.queue.pop().expect("peeked");
+        while let Some((t, event)) = self.queue.pop_until(until) {
+            debug_assert!(
+                t >= self.clock,
+                "event at {t} behind the clock at {}",
+                self.clock
+            );
             self.clock = t;
             self.events_processed += 1;
             self.handle(event);
