@@ -15,7 +15,7 @@
 //! recording touches no randomness or wall-clock time, so explanations
 //! are as deterministic as the schedules they describe.
 
-use crate::problem::{Adjacency, Neighbour, SchedulingInput};
+use crate::problem::{Adjacency, Neighbour, RowTraffic, SchedulingInput};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use tstorm_cluster::Assignment;
@@ -127,12 +127,9 @@ impl ScheduleExplanation {
 /// pack-then-place) use this to report the *outcome* of each placement
 /// with a phase description in `tie_break`.
 ///
-/// Each executor's figures come from its adjacency row, so the whole
-/// call is linear in the matrix. The sums repeat a per-executor scan of
-/// the matrix bit for bit: the total adds the touching entries in key
-/// order (a self-pair once), and the inter-node share adds each
-/// neighbour's undirected rate `0.0 + r(a,b) + r(b,a)` in neighbour-id
-/// order.
+/// Each executor's figures come from its adjacency row grouped by
+/// neighbour (`RowTraffic`), so the whole call is linear in the
+/// matrix and repeats a per-executor scan of the matrix bit for bit.
 #[must_use]
 pub fn decisions_from_assignment(
     input: &SchedulingInput,
@@ -146,10 +143,7 @@ pub fn decisions_from_assignment(
         Adjacency::OUTSIDE => node_of_id(nb.id),
         pos => node_at[pos as usize],
     };
-    // Scratch reused across rows: the row sorted by neighbour, and one
-    // undirected rate per neighbour.
-    let mut by_id: Vec<Neighbour> = Vec::new();
-    let mut undirected: Vec<(Neighbour, f64)> = Vec::new();
+    let mut traffic = RowTraffic::default();
     input
         .executors
         .iter()
@@ -157,38 +151,19 @@ pub fn decisions_from_assignment(
         .filter_map(|(pos, info)| {
             let slot = assignment.slot_of(info.id)?;
             let node = input.cluster.node_of(slot);
-            let row = adjacency.row(pos);
-            // A self-pair sits in its row twice, once per endpoint;
-            // it counts once.
-            let mut self_seen = false;
-            let total: f64 = row
+            adjacency.group_row(pos, info.id, &mut traffic);
+            let inter: f64 = traffic
+                .neighbours
                 .iter()
-                .filter(|nb| nb.id != info.id || !std::mem::replace(&mut self_seen, true))
+                .filter(|nb| node_of(nb).is_some_and(|n| n != node))
                 .map(|nb| nb.rate)
-                .sum();
-            // Group the row by neighbour; the stable sort keeps each
-            // neighbour's two directions in key order.
-            by_id.clear();
-            by_id.extend_from_slice(row);
-            by_id.sort_by_key(|nb| nb.id);
-            undirected.clear();
-            for nb in &by_id {
-                match undirected.last_mut() {
-                    Some((first, rate)) if first.id == nb.id => *rate += nb.rate,
-                    _ => undirected.push((*nb, 0.0 + nb.rate)),
-                }
-            }
-            let inter: f64 = undirected
-                .iter()
-                .filter(|(nb, _)| nb.id != info.id && node_of(nb).is_some_and(|n| n != node))
-                .map(|(_, rate)| *rate)
                 .sum();
             Some(PlacementDecision {
                 executor: info.id,
                 slot,
                 node,
                 load_mhz: info.load.get(),
-                traffic_total: total + 0.0,
+                traffic_total: traffic.total + 0.0,
                 // Halved so summing over all decisions counts each
                 // inter-node pair once; `+ 0.0` normalizes -0.0 so
                 // rendered and serialized zeros are unsigned.

@@ -279,6 +279,57 @@ impl Adjacency {
     pub(crate) fn row(&self, pos: usize) -> &[Neighbour] {
         &self.entries[self.offsets[pos]..self.offsets[pos + 1]]
     }
+
+    /// Groups the row of executor `id`, at position `pos`, by neighbour
+    /// into `out`, reusing its buffer.
+    pub(crate) fn group_row(&self, pos: usize, id: ExecutorId, out: &mut RowTraffic) {
+        let row = self.row(pos);
+        // A self-pair sits in its row twice, once per endpoint; it
+        // counts once.
+        let mut self_seen = false;
+        out.total = row
+            .iter()
+            .filter(|nb| nb.id != id || !std::mem::replace(&mut self_seen, true))
+            .map(|nb| nb.rate)
+            .sum();
+        let neighbours = &mut out.neighbours;
+        neighbours.clear();
+        neighbours.extend(row.iter().filter(|nb| nb.id != id));
+        // The stable sort keeps each neighbour's two directions in key
+        // order; the merge adds them onto `0.0`.
+        neighbours.sort_by_key(|nb| nb.id);
+        let mut merged = 0;
+        for i in 0..neighbours.len() {
+            let nb = neighbours[i];
+            if merged > 0 && neighbours[merged - 1].id == nb.id {
+                neighbours[merged - 1].rate += nb.rate;
+            } else {
+                neighbours[merged] = Neighbour {
+                    rate: 0.0 + nb.rate,
+                    ..nb
+                };
+                merged += 1;
+            }
+        }
+        neighbours.truncate(merged);
+    }
+}
+
+/// One executor's traffic grouped by neighbour, from its
+/// [`Adjacency`] row.
+///
+/// The sums repeat a per-executor scan of the matrix bit for bit:
+/// `total` adds the touching entries in key order, a self-pair once
+/// (as [`TrafficMatrix::total_of`] does), and `neighbours` lists every
+/// other executor in id order with its undirected rate `0.0 + r(a,b) +
+/// r(b,a)` in [`Neighbour::rate`], the two directions added in key order
+/// (as [`TrafficMatrix::neighbours_of`] does, less the executor itself).
+#[derive(Debug, Default)]
+pub(crate) struct RowTraffic {
+    /// Incoming plus outgoing traffic (tuples/s).
+    pub(crate) total: f64,
+    /// Neighbours in id order, each with its undirected rate.
+    pub(crate) neighbours: Vec<Neighbour>,
 }
 
 /// Tunable scheduling parameters (Section IV-C), adjustable on the fly.
