@@ -6,16 +6,12 @@
 //! 1. every built-in scheduler's cold solve on the paper-sized
 //!    Throughput Test problem (45 executors over the 10-node / 40-slot
 //!    testbed, diffuse shuffle traffic);
-//! 2. Algorithm 1's full solve versus the incremental replay path, at
-//!    scale: for each executor count it times (a) the full solve on
-//!    fresh inputs, and (b) the incremental replay on load-only
-//!    perturbations of a cached solve, verifying on every iteration that
-//!    the replay actually took the incremental path and (once per size)
-//!    that its assignment equals a fresh full re-solve.
+//! 2. Algorithm 1's full solve at scale, per executor count, on a chain
+//!    input over `--nodes` × `--slots` (the DESIGN.md §3 "Alg. 1
+//!    complexity" row).
 //!
 //! ```text
 //! alg1bench [--ne N[,N]...] [--nodes K] [--slots S] [--iters I]
-//!           [--fraction F]
 //! ```
 //!
 //! Malformed or infeasible arguments exit 2 with a message; `--help`
@@ -30,8 +26,7 @@ use tstorm_sched::{
 };
 use tstorm_types::{ComponentId, ExecutorId, Mhz, TopologyId};
 
-const USAGE: &str = "usage: alg1bench [--ne N[,N]...] [--nodes K] [--slots S] [--iters I] \
-                     [--fraction F]";
+const USAGE: &str = "usage: alg1bench [--ne N[,N]...] [--nodes K] [--slots S] [--iters I]";
 
 /// Throughput-Test-shaped input: 5 spouts -> 15 identities -> 15
 /// counters -> 10 ackers, with diffuse shuffle traffic between stages.
@@ -122,30 +117,6 @@ fn chain_input(ne: u32, nodes: u32, slots_per_node: u32) -> Result<SchedulingInp
     ))
 }
 
-/// Deterministically perturbs the loads of roughly `fraction` of the
-/// executors (LCG-driven, seeded) — the load-only delta the monitor
-/// hands the scheduler between windows.
-fn perturb_loads(input: &mut SchedulingInput, seed: u64, fraction: f64) {
-    let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-    let mut next = || {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
-    for e in &mut input.executors {
-        if next() < fraction {
-            let factor = 0.8 + 0.4 * next();
-            *e = ExecutorInfo::new(
-                e.id,
-                e.topology,
-                e.component,
-                Mhz::new(e.load.get() * factor),
-            );
-        }
-    }
-}
-
 /// Median of a non-empty sample (`--iters` is validated positive).
 fn median(mut xs: Vec<f64>) -> f64 {
     xs.sort_by(f64::total_cmp);
@@ -165,7 +136,6 @@ struct Options {
     nodes: u32,
     slots: u32,
     iters: u32,
-    fraction: f64,
 }
 
 /// `Ok(None)` means `--help` was asked for.
@@ -175,7 +145,6 @@ fn parse_args() -> Result<Option<Options>, String> {
         nodes: 100,
         slots: 4,
         iters: 9,
-        fraction: 0.05,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -198,14 +167,6 @@ fn parse_args() -> Result<Option<Options>, String> {
             "--nodes" => opts.nodes = positive("--nodes", &value("--nodes")?)?,
             "--slots" => opts.slots = positive("--slots", &value("--slots")?)?,
             "--iters" => opts.iters = positive("--iters", &value("--iters")?)?,
-            "--fraction" => {
-                opts.fraction = value("--fraction")?
-                    .parse()
-                    .map_err(|_| "--fraction must be a number".to_owned())?;
-                if !(0.0..=0.25).contains(&opts.fraction) {
-                    return Err("--fraction must be within [0, 0.25] (the incremental gate)".into());
-                }
-            }
             "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -236,7 +197,7 @@ fn main() -> ExitCode {
 }
 
 /// Cold solve time of every built-in scheduler on the paper-sized
-/// problem: a fresh scheduler per iteration, so no solve cache helps.
+/// problem: a fresh scheduler per iteration.
 fn scheduler_table(iters: u32) {
     let input = throughput_like_input();
     let registry = SchedulerRegistry::with_builtins();
@@ -258,20 +219,13 @@ fn scheduler_table(iters: u32) {
     println!();
 }
 
-/// Full Algorithm 1 solve versus incremental replay per executor count.
+/// Algorithm 1's full solve time per executor count.
 fn scaling_table(opts: &Options) -> Result<(), String> {
     println!(
-        "Algorithm 1 full solve vs incremental replay — {} nodes x {} slots, \
-         {:.0}% of loads perturbed per window, median of {} iters",
-        opts.nodes,
-        opts.slots,
-        opts.fraction * 100.0,
-        opts.iters,
+        "Algorithm 1 full solve — {} nodes x {} slots, chain traffic, median of {} iters",
+        opts.nodes, opts.slots, opts.iters,
     );
-    println!(
-        "{:>10} {:>14} {:>14} {:>9}",
-        "Ne", "full (ms)", "incr (ms)", "speedup"
-    );
+    println!("{:>10} {:>14}", "Ne", "full (ms)");
     for &ne in &opts.ne {
         let infeasible = |e| {
             format!(
@@ -279,60 +233,25 @@ fn scaling_table(opts: &Options) -> Result<(), String> {
                 opts.nodes, opts.slots
             )
         };
-        // Prime the incremental arm's cache with one full solve. Only an
-        // unrelaxed solve is cached, so a size that forces Algorithm 1
-        // to relax its constraints has nothing to replay.
-        let mut inc = TStormScheduler::new();
-        let inc_input = chain_input(ne, opts.nodes, opts.slots)?;
-        inc.schedule(&inc_input).map_err(infeasible)?;
-        if let Some(first) = inc.relaxations().first() {
-            return Err(format!(
-                "Ne={ne} does not fit {} nodes x {} slots without relaxing \
-                 Algorithm 1's constraints ({first}); the incremental replay \
-                 needs an unrelaxed solve",
-                opts.nodes, opts.slots
-            ));
-        }
-
-        // Full solve: incremental disabled, every call re-runs Algorithm 1.
-        let mut full = TStormScheduler::new();
-        full.set_incremental(false);
-        let mut full_times = Vec::new();
-        let mut input = chain_input(ne, opts.nodes, opts.slots)?;
-        for i in 0..opts.iters {
-            perturb_loads(&mut input, u64::from(i) + 1, opts.fraction);
+        let input = chain_input(ne, opts.nodes, opts.slots)?;
+        let mut scheduler = TStormScheduler::new();
+        let mut times = Vec::new();
+        for _ in 0..opts.iters {
             let t = Instant::now();
-            let a = full.schedule(&input).map_err(infeasible)?;
-            full_times.push(t.elapsed().as_secs_f64() * 1e3);
+            let a = scheduler.schedule(&input).map_err(infeasible)?;
+            times.push(t.elapsed().as_secs_f64() * 1e3);
             std::hint::black_box(a);
-        }
-
-        // Incremental: time replays over load-only perturbations.
-        let mut input = inc_input;
-        let mut inc_times = Vec::new();
-        for i in 0..opts.iters {
-            perturb_loads(&mut input, u64::from(i) + 1, opts.fraction);
-            let t = Instant::now();
-            let a = inc.schedule(&input).map_err(infeasible)?;
-            inc_times.push(t.elapsed().as_secs_f64() * 1e3);
-            assert!(
-                inc.last_solve_was_incremental(),
-                "Ne={ne} iter {i}: replay fell back to a full solve"
-            );
-            std::hint::black_box(&a);
-            if i == 0 {
-                // Exactness spot-check: the replay must equal a fresh
-                // full re-solve of the same input.
-                let mut fresh = TStormScheduler::new();
-                fresh.set_incremental(false);
-                let b = fresh.schedule(&input).map_err(infeasible)?;
-                assert_eq!(a, b, "Ne={ne}: incremental replay diverged from full solve");
+            // A relaxed solve runs up to three slot scans per executor,
+            // so it would not time the algorithm this row is about.
+            if let Some(first) = scheduler.relaxations().first() {
+                return Err(format!(
+                    "Ne={ne} does not fit {} nodes x {} slots without relaxing \
+                     Algorithm 1's constraints ({first})",
+                    opts.nodes, opts.slots
+                ));
             }
         }
-
-        let f = median(full_times);
-        let i = median(inc_times);
-        println!("{ne:>10} {f:>14.3} {i:>14.3} {:>8.1}x", f / i);
+        println!("{ne:>10} {:>14.3}", median(times));
     }
     Ok(())
 }

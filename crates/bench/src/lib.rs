@@ -21,7 +21,7 @@
 //!
 //! `sweep` re-runs the application figures across seeds, `alg1bench`
 //! times every scheduler on the paper-sized problem and Algorithm 1's
-//! full versus incremental solve at scale, and `simbench` measures the
+//! full solve at scale, and `simbench` measures the
 //! simulator's event throughput.
 
 #![forbid(unsafe_code)]

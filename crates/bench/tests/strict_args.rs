@@ -145,7 +145,7 @@ fn alg1bench_rejects_malformed_and_infeasible_arguments() {
         (&["--nodes", "0"], "--nodes: `0` is not a positive integer"),
         (&["--slots", "0"], "--slots: `0` is not a positive integer"),
         (&["--ne", "1"], "not a valid executor count"),
-        (&["--fraction", "0.5"], "--fraction must be within"),
+        (&["--fraction", "0.5"], "unknown flag `--fraction`"),
         (&["--iters"], "requires a value"),
         (&["--frobnicate"], "unknown flag `--frobnicate`"),
         (
@@ -196,6 +196,16 @@ fn alg1bench_prints_the_scheduler_table_and_the_scaling_row() {
         );
     }
     assert!(stdout.contains("45 executors"), "{stdout}");
+    assert!(
+        stdout.contains("Algorithm 1 full solve — 8 nodes x 4 slots"),
+        "scaling table header: {stdout}"
+    );
+    assert!(
+        stdout
+            .lines()
+            .any(|l| l.split_whitespace().eq(["Ne", "full", "(ms)"])),
+        "scaling table columns: {stdout}"
+    );
     assert!(
         stdout.lines().any(|l| l.trim_start().starts_with("200 ")),
         "scaling row for Ne=200: {stdout}"

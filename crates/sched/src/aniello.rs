@@ -23,9 +23,11 @@
 //! traffic (e.g. right after submission), the online scheduler falls back
 //! to the default round-robin for that scheduling round. The fallback can
 //! be disabled with [`AnielloOnlineScheduler::without_fallback`].
+//!
+//! Neither scheduler keeps state between calls apart from its explain
+//! flag: every call solves its input from scratch.
 
 use crate::explain::{decisions_from_assignment, ScheduleExplanation};
-use crate::incremental::CachedInput;
 use crate::problem::SchedulingInput;
 use crate::roundrobin::RoundRobinScheduler;
 use crate::Scheduler;
@@ -151,24 +153,14 @@ impl Scheduler for AnielloOfflineScheduler {
 
 /// The DEBS'13 *online* scheduler: two-phase traffic-greedy packing.
 ///
-/// # Incremental re-scheduling
-///
 /// Both phases are *load-oblivious*: they read only the traffic matrix,
-/// the executor/topology structure and the cluster's slots. The
-/// scheduler therefore keeps its last input and assignment, and when a
-/// new input is a load-only delta of the cached one (see
-/// `CachedInput::load_delta`) it returns the cached assignment directly
-/// — which is exactly what a full re-solve would compute, since no part
-/// of the algorithm reads the loads. Any other change falls back to the
-/// full two-phase solve.
+/// the executor/topology structure and the cluster's slots. Every
+/// [`Scheduler::schedule`] call runs both phases from scratch.
 #[derive(Debug, Clone)]
 pub struct AnielloOnlineScheduler {
     fallback_to_default: bool,
     explain: bool,
     explanation: Option<ScheduleExplanation>,
-    incremental: bool,
-    last_was_incremental: bool,
-    cache: Option<(CachedInput, Assignment)>,
 }
 
 impl AnielloOnlineScheduler {
@@ -180,9 +172,6 @@ impl AnielloOnlineScheduler {
             fallback_to_default: true,
             explain: false,
             explanation: None,
-            incremental: true,
-            last_was_incremental: false,
-            cache: None,
         }
     }
 
@@ -192,22 +181,6 @@ impl AnielloOnlineScheduler {
     pub fn without_fallback(mut self) -> Self {
         self.fallback_to_default = false;
         self
-    }
-
-    /// Enables or disables the incremental reuse path (on by default).
-    /// Disabling also drops the cached solve.
-    pub fn set_incremental(&mut self, on: bool) {
-        self.incremental = on;
-        if !on {
-            self.cache = None;
-        }
-    }
-
-    /// Whether the most recent [`Scheduler::schedule`] call reused the
-    /// cached solution instead of running the two-phase algorithm.
-    #[must_use]
-    pub fn last_solve_was_incremental(&self) -> bool {
-        self.last_was_incremental
     }
 }
 
@@ -232,19 +205,6 @@ impl Scheduler for AnielloOnlineScheduler {
 
     fn schedule(&mut self, input: &SchedulingInput) -> Result<Assignment> {
         self.explanation = None;
-        self.last_was_incremental = false;
-        // Incremental reuse: the algorithm never reads executor loads,
-        // so a load-only delta cannot change its output. (Explanations
-        // are rebuilt from the input, so they take the full path.)
-        if self.incremental && !self.explain {
-            if let Some((cached, assignment)) = &self.cache {
-                if cached.load_delta(input).is_some() {
-                    self.last_was_incremental = true;
-                    return Ok(assignment.clone());
-                }
-            }
-        }
-        self.cache = None;
         // Reproduced quirk: with no traffic data at all, the original
         // implementation used Storm's default scheduler.
         if self.fallback_to_default && input.traffic.is_empty() {
@@ -319,12 +279,6 @@ impl Scheduler for AnielloOnlineScheduler {
             explanation.decisions =
                 decisions_from_assignment(input, &assignment, "measured-traffic greedy pairing");
             self.explanation = Some(explanation);
-        }
-        // Cache the two-phase result for load-only-delta reuse. The
-        // round-robin fallback branch above is deliberately not cached:
-        // it belongs to a different algorithm.
-        if self.incremental {
-            self.cache = Some((CachedInput::capture(input), assignment.clone()));
         }
         Ok(assignment)
     }
@@ -606,7 +560,7 @@ mod tests {
     use crate::problem::{ExecutorInfo, SchedParams, TrafficMatrix};
     use crate::quality::AssignmentQuality;
     use tstorm_cluster::ClusterSpec;
-    use tstorm_types::Mhz;
+    use tstorm_types::{Mhz, NodeId};
 
     fn e(id: u32) -> ExecutorId {
         ExecutorId::new(id)
@@ -722,45 +676,42 @@ mod tests {
     }
 
     #[test]
-    fn online_incremental_reuses_on_load_only_delta() {
+    fn reused_scheduler_matches_a_fresh_one() {
         let base = chain_input(2);
-        let mut s = AnielloOnlineScheduler::new();
-        let a = s.schedule(&base).expect("feasible");
-        assert!(!s.last_solve_was_incremental());
-        // Change every load: the algorithm is load-oblivious, so the
-        // cached assignment is exactly the full re-solve's answer.
-        let mut perturbed = base.clone();
-        for info in &mut perturbed.executors {
-            info.load = Mhz::new(info.load.get() * 3.5);
+        let scaled = |factor: f64| {
+            let mut input = base.clone();
+            for info in &mut input.executors {
+                info.load = Mhz::new(info.load.get() * factor);
+            }
+            input
+        };
+        let mut traffic_changed = base.clone();
+        traffic_changed.traffic.set(e(0), e(2), 5.0);
+        let mut dead_node = base.clone();
+        dead_node.cluster.set_node_live(NodeId::new(1), false);
+        // No traffic at all: the round-robin fallback.
+        let mut silent = base.clone();
+        silent.traffic = TrafficMatrix::new();
+
+        // Loads past node capacity (4,000 MHz) take the same path: the
+        // algorithm never reads them.
+        let inputs = [
+            base.clone(),
+            base.clone(),
+            scaled(3.5),
+            scaled(100.0),
+            traffic_changed,
+            dead_node,
+            silent.clone(),
+            silent,
+            chain_input(3),
+        ];
+        let mut reused = AnielloOnlineScheduler::new();
+        for (i, input) in inputs.iter().enumerate() {
+            let a = reused.schedule(input).expect("feasible");
+            let mut fresh = AnielloOnlineScheduler::new();
+            assert_eq!(a, fresh.schedule(input).expect("feasible"), "input {i}");
         }
-        let b = s.schedule(&perturbed).expect("feasible");
-        assert!(s.last_solve_was_incremental());
-        assert_eq!(a, b);
-        let mut fresh = AnielloOnlineScheduler::new();
-        assert_eq!(b, fresh.schedule(&perturbed).expect("feasible"));
-    }
-
-    #[test]
-    fn online_incremental_falls_back_on_traffic_change() {
-        let base = chain_input(2);
-        let mut s = AnielloOnlineScheduler::new();
-        s.schedule(&base).expect("feasible");
-        let mut changed = base.clone();
-        changed.traffic.set(e(0), e(2), 5.0);
-        let a = s.schedule(&changed).expect("feasible");
-        assert!(!s.last_solve_was_incremental());
-        let mut fresh = AnielloOnlineScheduler::new();
-        assert_eq!(a, fresh.schedule(&changed).expect("feasible"));
-    }
-
-    #[test]
-    fn online_incremental_can_be_disabled() {
-        let base = chain_input(2);
-        let mut s = AnielloOnlineScheduler::new();
-        s.set_incremental(false);
-        s.schedule(&base).expect("feasible");
-        s.schedule(&base).expect("feasible");
-        assert!(!s.last_solve_was_incremental());
     }
 
     #[test]

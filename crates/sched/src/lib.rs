@@ -54,7 +54,6 @@
 
 pub mod aniello;
 pub mod explain;
-mod incremental;
 pub mod local_search;
 pub mod optimal;
 pub mod problem;
