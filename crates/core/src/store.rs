@@ -106,6 +106,19 @@ impl ScheduleStore {
             .is_some_and(|s| s.versioned.epoch > self.fetched_epoch)
     }
 
+    /// True when `assignment` is the latest publication and Nimbus has
+    /// not fetched it yet, so publishing it again would only burn an
+    /// epoch. A fetched publication does not count: a later recovery can
+    /// need the same placement again.
+    #[must_use]
+    pub fn holds_unfetched(&self, assignment: &Assignment) -> bool {
+        self.has_unfetched()
+            && self
+                .latest
+                .as_ref()
+                .is_some_and(|s| s.versioned.assignment == *assignment)
+    }
+
     /// Nimbus's fetch: returns the latest publication if it is newer
     /// than anything fetched before (advancing the fetch watermark), or
     /// `None` when the store holds no news.
@@ -152,6 +165,7 @@ impl ScheduleStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tstorm_types::{ExecutorId, SlotId};
 
     fn publish(store: &mut ScheduleStore, at_secs: u64) -> u64 {
         store.publish(
@@ -203,6 +217,30 @@ mod tests {
         publish(&mut store, 20);
         assert_eq!(store.fetch().expect("news again").versioned.epoch, 2);
         assert_eq!(store.fetched_epoch(), 2);
+    }
+
+    #[test]
+    fn only_an_unfetched_publication_is_held() {
+        let mut store = ScheduleStore::new();
+        let mut a = Assignment::new();
+        a.assign(ExecutorId::new(0), SlotId::new(0));
+        let mut b = Assignment::new();
+        b.assign(ExecutorId::new(0), SlotId::new(1));
+        assert!(!store.holds_unfetched(&a), "empty store");
+        store.publish(
+            AssignmentId::from_timestamp_micros(10),
+            a.clone(),
+            SimTime::ZERO,
+            "test",
+            None,
+        );
+        assert!(store.holds_unfetched(&a));
+        assert!(!store.holds_unfetched(&b), "a different placement is news");
+        let _ = store.fetch();
+        assert!(
+            !store.holds_unfetched(&a),
+            "a fetched publication can be published again"
+        );
     }
 
     #[test]

@@ -838,6 +838,12 @@ impl TStormSystem {
         if self.sim.current_assignment().diff(&assignment).is_empty() {
             return Ok(());
         }
+        // Nor publish again what still waits unfetched in the store: a
+        // death declaration's forced solve and the overload fast path's
+        // can solve the same input at the same instant.
+        if self.store.holds_unfetched(&assignment) {
+            return Ok(());
+        }
         if !force && !self.is_improvement(&assignment, &input) {
             self.timeline.push(ControlEvent::ScheduleSuppressed {
                 at: self.sim.now(),

@@ -138,3 +138,59 @@ fn worker_crash_recovers_without_taking_the_node_down() {
     assert!(system.recovery_events() >= 1);
     assert!(sim.completed() > 10_000);
 }
+
+#[test]
+fn a_schedule_is_published_once() {
+    // `tstorm run --topology throughput --duration 200 --fault
+    // node-crash@t=30,node=2,restart=40`: at 60 s node 2 is declared
+    // dead and a forced generation publishes, then the overload fast
+    // path, tripped by the crash's own timeouts, solves the same input
+    // again before Nimbus has fetched the first publication.
+    let p = ThroughputParams::paper();
+    let topo = throughput::topology(&p).expect("valid");
+    let config = TStormConfig::default()
+        .with_mode(SystemMode::TStorm)
+        .with_gamma(1.7)
+        .with_seed(42);
+    let mut system = TStormSystem::new(cluster10(), config).expect("valid");
+    let mut f = throughput::factory(&p, 42);
+    system.submit(&topo, &mut f).expect("submits");
+    system.start().expect("starts");
+    let plan = FaultPlan::from_specs(["node-crash@t=30,node=2,restart=40"]).expect("valid plan");
+    system
+        .simulation_mut()
+        .apply_fault_plan(&plan)
+        .expect("applies");
+    system.run_until(SimTime::from_secs(200)).expect("runs");
+
+    let timeline = system.timeline();
+    let declared_at: Vec<SimTime> = timeline
+        .iter()
+        .filter_map(|e| match e {
+            ControlEvent::NodeDeclaredDead { at, .. } => Some(*at),
+            _ => None,
+        })
+        .collect();
+    assert!(
+        timeline.iter().any(|e| matches!(
+            e,
+            ControlEvent::OverloadDetected { at, .. } if declared_at.contains(at)
+        )),
+        "the scenario must re-solve at the instant of a death declaration: {timeline:?}"
+    );
+    let mut ids: Vec<_> = timeline
+        .iter()
+        .filter_map(|e| match e {
+            ControlEvent::SchedulePublished { id, .. } => Some(*id),
+            _ => None,
+        })
+        .collect();
+    let published = ids.len();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(
+        ids.len(),
+        published,
+        "a schedule was published twice: {timeline:?}"
+    );
+}
