@@ -111,7 +111,7 @@ impl ScheduleStore {
     /// epoch. A fetched publication does not count: a later recovery can
     /// need the same placement again.
     #[must_use]
-    pub fn holds_unfetched(&self, assignment: &Assignment) -> bool {
+    pub(crate) fn holds_unfetched(&self, assignment: &Assignment) -> bool {
         self.has_unfetched()
             && self
                 .latest

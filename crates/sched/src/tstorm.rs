@@ -31,8 +31,7 @@
 //! matching the paper's `O(Ne log Ne + Ne·Ns)`.
 //!
 //! Every [`Scheduler::schedule`] call runs that one pass from scratch:
-//! the scheduler keeps nothing between calls but its explain flag
-//! (DESIGN.md §13 says why the cached replay of earlier versions went).
+//! the scheduler keeps nothing between calls but its explain flag.
 
 use crate::explain::{PlacementDecision, ScheduleExplanation};
 use crate::problem::{Adjacency, SchedulingInput};
