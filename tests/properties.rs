@@ -244,6 +244,13 @@ fn ewma_bounded_by_samples() {
     }
 }
 
+/// A matrix's entries with each rate as its bits.
+type PairBits = Vec<(ExecutorId, ExecutorId, u64)>;
+
+fn matrix_bits(m: &TrafficMatrix) -> PairBits {
+    m.iter().map(|(f, t, r)| (f, t, r.to_bits())).collect()
+}
+
 /// The stats database smooths with exactly [`Ewma::update`]: fed the
 /// same samples, including windows where a key is absent (a zero
 /// sample), every workload and traffic estimate equals a standalone
@@ -251,8 +258,17 @@ fn ewma_bounded_by_samples() {
 /// key (the snapshot accumulates them); pairs are first seen in later
 /// windows at both ends of the key range; and executors are retired
 /// between windows, one at a time or in bulk.
+///
+/// A matrix read from the database is a snapshot: after the next
+/// window's ingest and retirements it still holds its own window's
+/// estimates. Some estimates fall to the matrix's 1e-9 cut or below
+/// while their pair is still tracked, and some of those pairs talk
+/// again later, so reads that must leave out a tracked pair occur too.
 #[test]
 fn statsdb_matches_ewma_bit_for_bit() {
+    // Pairs whose estimate fell to the cut or below and that later sent
+    // tuples again, over all cases.
+    let mut revived = 0;
     for case in 0..CASES {
         let mut rng = DetRng::seed_from(0x5DB + case);
         let alpha = rng.uniform();
@@ -272,6 +288,10 @@ fn statsdb_matches_ewma_bit_for_bit() {
         let mut db = StatsDb::new(alpha);
         let mut loads: Vec<Option<Ewma>> = vec![None; execs];
         let mut rates: BTreeMap<(ExecutorId, ExecutorId), Ewma> = BTreeMap::new();
+        // The previous window's matrix with that window's model of it.
+        let mut kept: Option<(TrafficMatrix, PairBits)> = None;
+        // Tracked pairs whose estimate is at the cut or below.
+        let mut faded: BTreeSet<(ExecutorId, ExecutorId)> = BTreeSet::new();
         for window in 0..windows {
             let mut snap = WindowSnapshot::new(period);
             let mut cpu: Vec<(ExecutorId, u64)> = Vec::new();
@@ -297,6 +317,9 @@ fn statsdb_matches_ewma_bit_for_bit() {
                     continue;
                 }
                 let tuples = rng.next_u64() >> (32 + rng.below(32));
+                if tuples > 0 && faded.remove(&pair) {
+                    revived += 1;
+                }
                 traffic.push((pair.0, pair.1, tuples));
                 let sample = tuples as f64 / period.as_secs_f64();
                 rates.entry(pair).or_insert(Ewma::new(alpha)).update(sample);
@@ -355,6 +378,10 @@ fn statsdb_matches_ewma_bit_for_bit() {
                 }
                 _ => {}
             }
+            if let Some((matrix, want)) = kept.take() {
+                let got = matrix_bits(&matrix);
+                assert_eq!(got, want, "case {case} window {window}: earlier read moved");
+            }
 
             for (i, load) in loads.iter().enumerate() {
                 let want = load.and_then(|y| y.get()).unwrap_or(0.0);
@@ -365,18 +392,23 @@ fn statsdb_matches_ewma_bit_for_bit() {
                     "case {case} window {window} executor {i}: {got} vs {want}"
                 );
             }
-            let want: Vec<(ExecutorId, ExecutorId, u64)> = rates
+            let want: PairBits = rates
                 .iter()
                 .filter_map(|(&(f, t), y)| Some((f, t, y.get().filter(|r| *r > 1e-9)?.to_bits())))
                 .collect();
-            let got: Vec<(ExecutorId, ExecutorId, u64)> = db
-                .traffic_matrix()
-                .iter()
-                .map(|(f, t, r)| (f, t, r.to_bits()))
-                .collect();
-            assert_eq!(got, want, "case {case} window {window}");
+            let matrix = db.traffic_matrix();
+            assert_eq!(matrix_bits(&matrix), want, "case {case} window {window}");
+            kept = Some((matrix, want));
+            faded.retain(|pair| rates.contains_key(pair));
+            faded.extend(
+                rates
+                    .iter()
+                    .filter(|(_, y)| y.get().is_some_and(|r| r <= 1e-9))
+                    .map(|(&pair, _)| pair),
+            );
         }
     }
+    assert!(revived > 0, "no estimate at the cut was revived");
 }
 
 /// Traffic matrix: total_of equals the sum over neighbours.

@@ -6,7 +6,8 @@
 //! comes from a [`StatsDb`] fed seeded windows, so it has what scale
 //! runs have: pairs in both directions, pairs whose executor is not in
 //! the input, a self-pair, decayed and first-seen pairs. The traffic
-//! matrix is also checked against an ordered-map model.
+//! matrix is also checked against an ordered-map model, and a clone
+//! taken before a run of edits is checked to keep its entries.
 
 use std::collections::BTreeMap;
 use tstorm::cluster::{Assignment, ClusterSpec};
@@ -195,6 +196,8 @@ fn traffic_matrix_matches_a_btreemap_model() {
                 model.insert((f, t), r);
             }
         }
+        // A clone is a snapshot: the steps below leave it as it was.
+        let (before, before_model) = (m.clone(), model.clone());
         for step in 0..rng.below(40) {
             let (f, t, r) = (id(&mut rng), id(&mut rng), rate(&mut rng));
             if rng.below(2) == 0 {
@@ -218,6 +221,13 @@ fn traffic_matrix_matches_a_btreemap_model() {
                 .collect();
             assert_eq!(got, want, "case {case} step {step}");
         }
+        let kept: Vec<(ExecutorId, ExecutorId, u64)> =
+            before.iter().map(|(f, t, r)| (f, t, r.to_bits())).collect();
+        let want: Vec<(ExecutorId, ExecutorId, u64)> = before_model
+            .iter()
+            .map(|(&(f, t), r)| (f, t, r.to_bits()))
+            .collect();
+        assert_eq!(kept, want, "case {case}: the clone moved");
         assert_eq!(m.len(), model.len(), "case {case}");
         assert_eq!(m.is_empty(), model.is_empty(), "case {case}");
         let total: f64 = model.values().sum();
