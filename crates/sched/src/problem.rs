@@ -9,6 +9,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
+use std::sync::Arc;
 use tstorm_cluster::{ClusterSpec, ExecutorCtx};
 use tstorm_types::{ComponentId, ExecutorId, Mhz, TopologyId};
 
@@ -55,6 +56,14 @@ impl ExecutorInfo {
 /// monitor's matrices hold positive rates only. The schedulers'
 /// adjacency indexes the entries and relies on the key order alone.
 ///
+/// The array is shared and copied on write. A clone only counts one
+/// more reference to it, and [`TrafficMatrix::set`] and
+/// [`TrafficMatrix::add`] copy it only while another holder shares it,
+/// so no edit ever shows through another matrix. The conversion from
+/// an `Arc<Vec<_>>` keeps entries that already hold the invariant with
+/// positive rates, without a copy: the load monitor's database hands
+/// the scheduler its own estimates this way.
+///
 /// # Example
 ///
 /// ```
@@ -71,7 +80,7 @@ impl ExecutorInfo {
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct TrafficMatrix {
     /// `(from, to, rate)`, strictly increasing in `(from, to)`.
-    entries: Vec<(ExecutorId, ExecutorId, f64)>,
+    entries: Arc<Vec<(ExecutorId, ExecutorId, f64)>>,
 }
 
 impl TrafficMatrix {
@@ -86,13 +95,18 @@ impl TrafficMatrix {
             .binary_search_by(|&(f, t, _)| (f, t).cmp(&(from, to)))
     }
 
+    /// The entries for writing, copied first if they are shared.
+    fn entries_mut(&mut self) -> &mut Vec<(ExecutorId, ExecutorId, f64)> {
+        Arc::make_mut(&mut self.entries)
+    }
+
     /// Sets the traffic rate from `from` to `to` (tuples/second).
     pub fn set(&mut self, from: ExecutorId, to: ExecutorId, rate: f64) {
         match (self.find(from, to), rate > 0.0) {
-            (Ok(i), true) => self.entries[i].2 = rate,
-            (Err(i), true) => self.entries.insert(i, (from, to, rate)),
+            (Ok(i), true) => self.entries_mut()[i].2 = rate,
+            (Err(i), true) => self.entries_mut().insert(i, (from, to, rate)),
             (Ok(i), false) => {
-                self.entries.remove(i);
+                self.entries_mut().remove(i);
             }
             (Err(_), false) => {}
         }
@@ -102,8 +116,8 @@ impl TrafficMatrix {
     pub fn add(&mut self, from: ExecutorId, to: ExecutorId, rate: f64) {
         if rate != 0.0 {
             match self.find(from, to) {
-                Ok(i) => self.entries[i].2 += rate,
-                Err(i) => self.entries.insert(i, (from, to, 0.0 + rate)),
+                Ok(i) => self.entries_mut()[i].2 += rate,
+                Err(i) => self.entries_mut().insert(i, (from, to, 0.0 + rate)),
             }
         }
     }
@@ -142,7 +156,7 @@ impl TrafficMatrix {
     #[must_use]
     pub fn neighbours_of(&self, executor: ExecutorId) -> Vec<(ExecutorId, f64)> {
         let mut acc: BTreeMap<ExecutorId, f64> = BTreeMap::new();
-        for &(f, t, r) in &self.entries {
+        for &(f, t, r) in self.entries.iter() {
             if f == executor {
                 *acc.entry(t).or_insert(0.0) += r;
             } else if t == executor {
@@ -182,10 +196,7 @@ impl TrafficMatrix {
 impl From<Vec<(ExecutorId, ExecutorId, f64)>> for TrafficMatrix {
     fn from(mut entries: Vec<(ExecutorId, ExecutorId, f64)>) -> Self {
         entries.retain(|(_, _, rate)| *rate > 0.0);
-        if !entries
-            .windows(2)
-            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
-        {
+        if !keys_increase(&entries) {
             entries.sort_by_key(|&(f, t, _)| (f, t));
             // `dedup_by` passes the later entry first and keeps the
             // earlier one, so carry the later rate over.
@@ -197,8 +208,34 @@ impl From<Vec<(ExecutorId, ExecutorId, f64)>> for TrafficMatrix {
                 repeat
             });
         }
-        Self { entries }
+        Self {
+            entries: Arc::new(entries),
+        }
     }
+}
+
+/// Takes shared `(from, to, rate)` triples. If their keys strictly
+/// increase and every rate is above zero, the matrix keeps the shared
+/// array as it is, after one checking walk; the caller and the matrix
+/// then hold the same entries, and a write by either copies them
+/// first. Any other input is normalised on a copy under the rules of
+/// the `From<Vec<_>>` conversion (an array no one else holds is
+/// normalised in place).
+impl From<Arc<Vec<(ExecutorId, ExecutorId, f64)>>> for TrafficMatrix {
+    fn from(entries: Arc<Vec<(ExecutorId, ExecutorId, f64)>>) -> Self {
+        if entries.iter().all(|(_, _, rate)| *rate > 0.0) && keys_increase(&entries) {
+            Self { entries }
+        } else {
+            Self::from(Arc::try_unwrap(entries).unwrap_or_else(|shared| shared.to_vec()))
+        }
+    }
+}
+
+/// True if the keys of `entries` strictly increase in `(from, to)`.
+fn keys_increase(entries: &[(ExecutorId, ExecutorId, f64)]) -> bool {
+    entries
+        .windows(2)
+        .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))
 }
 
 /// Collects `(from, to, rate)` triples under the rules of the
@@ -642,6 +679,52 @@ mod tests {
             vec![(e(0), e(1), 5.0)]
         );
         assert!(set.is_empty());
+    }
+
+    #[test]
+    fn clones_share_entries_until_a_write() {
+        let mut a = TrafficMatrix::new();
+        a.set(e(0), e(1), 10.0);
+        a.set(e(1), e(2), 20.0);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        // Setting an absent pair to zero writes nothing.
+        b.set(e(5), e(6), 0.0);
+        assert!(Arc::ptr_eq(&a.entries, &b.entries));
+        b.add(e(0), e(1), 5.0);
+        assert!(!Arc::ptr_eq(&a.entries, &b.entries));
+        assert_eq!(a.get(e(0), e(1)), 10.0);
+        assert_eq!(b.get(e(0), e(1)), 15.0);
+        // Entries held alone are written in place.
+        let held = Arc::as_ptr(&b.entries);
+        b.set(e(1), e(2), 1.0);
+        assert_eq!(Arc::as_ptr(&b.entries), held);
+        assert_eq!(a.get(e(1), e(2)), 20.0);
+    }
+
+    #[test]
+    fn shared_entries_are_kept_only_when_normal() {
+        let normal = Arc::new(vec![
+            (e(0), e(1), 1.0),
+            (e(0), e(2), 2.0),
+            (e(1), e(0), 3.0),
+        ]);
+        let m = TrafficMatrix::from(Arc::clone(&normal));
+        assert!(Arc::ptr_eq(&m.entries, &normal));
+        // Out of order, a repeated pair, a non-positive rate: each is
+        // normalised on a copy, as the `Vec` conversion would.
+        for entries in [
+            vec![(e(1), e(0), 3.0), (e(0), e(1), 1.0)],
+            vec![(e(0), e(1), 1.0), (e(0), e(1), 2.0)],
+            vec![(e(0), e(1), 0.0), (e(0), e(2), 2.0)],
+            vec![(e(0), e(1), -1.0)],
+        ] {
+            let shared = Arc::new(entries.clone());
+            let m = TrafficMatrix::from(Arc::clone(&shared));
+            assert!(!Arc::ptr_eq(&m.entries, &shared));
+            assert_eq!(*shared, entries, "the caller's array is untouched");
+            assert_eq!(m, TrafficMatrix::from(entries));
+        }
     }
 
     #[test]
