@@ -306,24 +306,38 @@ fn phase1_pack(
     num_workers: usize,
     per_worker_cap: usize,
 ) -> Vec<usize> {
-    let pos_of: HashMap<ExecutorId, usize> = exec_idxs
+    let pos_of: HashMap<ExecutorId, u32> = exec_idxs
         .iter()
         .enumerate()
-        .map(|(pos, idx)| (input.executors[*idx].id, pos))
+        .map(|(pos, idx)| {
+            let pos = u32::try_from(pos).expect("fewer than 2^32 executors");
+            (input.executors[*idx].id, pos)
+        })
         .collect();
 
-    // Collect undirected pairs internal to this topology.
-    let mut pairs: Vec<(f64, usize, usize)> = Vec::new();
-    let mut seen: HashMap<(usize, usize), f64> = HashMap::new();
+    // Collect undirected pairs internal to this topology: one
+    // `(rate, lo, hi)` per matrix entry (16 bytes), then each pair's run
+    // (its one or two directions) added onto `0.0`. Keys are unique, so
+    // a run holds at most two rates and its sum does not depend on
+    // their order.
+    let mut pairs: Vec<(f64, u32, u32)> = Vec::with_capacity(input.traffic.len());
     for (from, to, rate) in input.traffic.iter() {
         if let (Some(&a), Some(&b)) = (pos_of.get(&from), pos_of.get(&to)) {
-            let key = if a < b { (a, b) } else { (b, a) };
-            *seen.entry(key).or_insert(0.0) += rate;
+            pairs.push((rate, a.min(b), a.max(b)));
         }
     }
-    for ((a, b), rate) in seen {
-        pairs.push((rate, a, b));
+    pairs.sort_unstable_by_key(|&(_, lo, hi)| (lo, hi));
+    let mut merged = 0;
+    for i in 0..pairs.len() {
+        let (rate, lo, hi) = pairs[i];
+        if merged > 0 && (pairs[merged - 1].1, pairs[merged - 1].2) == (lo, hi) {
+            pairs[merged - 1].0 += rate;
+        } else {
+            pairs[merged] = (0.0 + rate, lo, hi);
+            merged += 1;
+        }
     }
+    pairs.truncate(merged);
     pairs.sort_by(|x, y| {
         y.0.partial_cmp(&x.0)
             .expect("rates are finite")
@@ -343,6 +357,7 @@ fn phase1_pack(
     };
 
     for (_, a, b) in pairs {
+        let (a, b) = (a as usize, b as usize);
         match (worker_of[a], worker_of[b]) {
             (None, None) => {
                 let w = least_loaded(&worker_count);
