@@ -21,8 +21,8 @@
 //!
 //! `sweep` re-runs the application figures across seeds, `alg1bench`
 //! times every scheduler on the paper-sized problem and Algorithm 1's
-//! full solve at scale, and `simbench` measures the
-//! simulator's event throughput.
+//! full solve at scale, and `benchguard` checks the repository
+//! benchmark's fresh records against the committed `BENCH_sim.json`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

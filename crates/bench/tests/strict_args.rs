@@ -99,6 +99,7 @@ fn help_exits_zero_with_usage() {
         (env!("CARGO_BIN_EXE_sweep"), &["--help"]),
         (env!("CARGO_BIN_EXE_alg1bench"), &["--help"]),
         (env!("CARGO_BIN_EXE_inspect"), &["--help"]),
+        (env!("CARGO_BIN_EXE_benchguard"), &["--help"]),
     ];
     for (bin, args) in cases {
         let out = run(bin, args);
@@ -106,6 +107,34 @@ fn help_exits_zero_with_usage() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("usage"), "{bin} {args:?} prints usage");
     }
+}
+
+/// `benchguard` takes two paths and nothing else: no tolerance or
+/// other tuning flag.
+#[test]
+fn benchguard_rejects_malformed_arguments() {
+    let guard = env!("CARGO_BIN_EXE_benchguard");
+    for args in [
+        &[][..],
+        &["fresh.json"],
+        &["fresh.json", "BENCH_sim.json", "extra.json"],
+        &["--tolerance", "0.5"],
+    ] {
+        let out = run(guard, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "benchguard {args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage: benchguard FRESH.json BENCH_sim.json"),
+            "benchguard {args:?} shows usage: {stderr}"
+        );
+    }
+    let out = run(guard, &["no-such-fresh.json", "no-such-committed.json"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("cannot read no-such-fresh.json"),
+        "names the unreadable file: {stderr}"
+    );
 }
 
 #[test]

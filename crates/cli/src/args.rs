@@ -112,9 +112,6 @@ pub struct RunOptions {
     /// Print engine hot-path statistics (envelope-pool hit rate, event
     /// queue high-water mark, allocations avoided) after the run.
     pub engine_stats: bool,
-    /// Print the engine hot-path statistics as one machine-readable
-    /// JSON object after the run.
-    pub engine_stats_json: bool,
     /// Collect per-tuple span trees and print the critical-path
     /// latency breakdown after the run.
     pub spans: bool,
@@ -153,7 +150,6 @@ impl Default for RunOptions {
             fetch_jitter: 0.2,
             quiet: false,
             engine_stats: false,
-            engine_stats_json: false,
             spans: false,
             flight_recorder: None,
             explain: false,
@@ -228,7 +224,6 @@ OPTIONS (run/compare):
     --fetch-jitter F   per-node fetch/heartbeat jitter in [0,1)  [0.2]
     --quiet            summary only
     --engine-stats     print engine hot-path statistics after the run
-    --engine-stats-json  print the same statistics as one JSON object
     --spans            collect span trees; print the critical-path
                        latency breakdown after the run
     --flight-recorder PATH  stream a flight recording (JSONL) of the
@@ -385,7 +380,6 @@ where
             }
             "--quiet" => opts.quiet = true,
             "--engine-stats" => opts.engine_stats = true,
-            "--engine-stats-json" => opts.engine_stats_json = true,
             "--spans" => opts.spans = true,
             "--flight-recorder" => {
                 opts.flight_recorder = Some(value(flag)?);
@@ -688,13 +682,12 @@ mod tests {
 
     #[test]
     fn parses_span_and_recorder_flags() {
-        let Command::Run(o) = parse(args("run --spans --explain --engine-stats-json")).unwrap()
-        else {
+        let Command::Run(o) = parse(args("run --spans --explain --engine-stats")).unwrap() else {
             panic!("expected run");
         };
         assert!(o.spans);
         assert!(o.explain);
-        assert!(o.engine_stats_json);
+        assert!(o.engine_stats);
         assert!(o.flight_recorder.is_none());
 
         let Command::Run(o) = parse(args("run --flight-recorder run.jsonl")).unwrap() else {
@@ -708,6 +701,6 @@ mod tests {
         let Command::Run(o) = parse(args("run")).unwrap() else {
             panic!("expected run");
         };
-        assert!(!o.spans && !o.explain && !o.engine_stats_json);
+        assert!(!o.spans && !o.explain && !o.engine_stats);
     }
 }

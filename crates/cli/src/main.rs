@@ -45,9 +45,6 @@ fn main() -> ExitCode {
                 if opts.engine_stats {
                     println!("{}", outcome.engine_summary());
                 }
-                if opts.engine_stats_json {
-                    println!("{}", outcome.engine_stats_json());
-                }
                 if let Some(spans) = &outcome.spans_summary {
                     print!("{spans}");
                 }
@@ -99,10 +96,6 @@ fn main() -> ExitCode {
             if opts.engine_stats {
                 println!("Storm   {}", storm.engine_summary());
                 println!("T-Storm {}", tstorm.engine_summary());
-            }
-            if opts.engine_stats_json {
-                println!("{}", storm.engine_stats_json());
-                println!("{}", tstorm.engine_stats_json());
             }
             if let Some(spans) = &tstorm.spans_summary {
                 print!("T-Storm {spans}");

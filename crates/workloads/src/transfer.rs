@@ -48,7 +48,8 @@ pub struct TransferParams {
 }
 
 impl TransferParams {
-    /// The simbench overload configuration: one executor per component
+    /// The transfer-density overload (the benchmark's `overload-b8`
+    /// workload runs these parameters): one executor per component
     /// across two single-slot nodes (so both edges are inter-node), a
     /// 48× fan multiplier, and zero-length payload strings — each data
     /// tuple is 16 payload bytes (8-byte seq + 8-byte emit overhead)

@@ -55,8 +55,8 @@ impl Scalars {
     }
 }
 
-/// Word Count at the paper's settings (the simbench scenario), with the
-/// requested transfer-batching threshold.
+/// Word Count at the paper's settings, with the requested
+/// transfer-batching threshold.
 fn run_wordcount(seed: u64, batch_size: u32, duration_secs: u64) -> Scalars {
     let cluster = ClusterSpec::homogeneous(10, 4, Mhz::new(8000.0)).expect("valid");
     let mut config = TStormConfig::default()
@@ -77,8 +77,8 @@ fn run_wordcount(seed: u64, batch_size: u32, duration_secs: u64) -> Scalars {
     scalars_of(&system)
 }
 
-/// The fault-replay scenario: Throughput Test with a node crash (plus
-/// restart) and a transient NIC slowdown.
+/// The Throughput Test through a node crash (plus restart) and a
+/// transient NIC slowdown.
 fn run_fault_replay(seed: u64, batch_size: u32, duration_secs: u64) -> Scalars {
     let cluster = ClusterSpec::homogeneous(6, 4, Mhz::new(8000.0)).expect("valid");
     let mut config = TStormConfig::default()
@@ -106,8 +106,8 @@ fn run_fault_replay(seed: u64, batch_size: u32, duration_secs: u64) -> Scalars {
     scalars_of(&system)
 }
 
-/// The simbench overload scenario: the transfer-density fan-out
-/// pipeline on a deliberately slow 10 Mbit/s link, where the wire (not
+/// The transfer-density overload: the fan-out pipeline on a
+/// deliberately slow 10 Mbit/s link, where the wire (not
 /// the CPU) is the bottleneck and most emissions are still in flight at
 /// cutoff.
 fn run_transfer_overload(seed: u64, batch_size: u32, duration_secs: u64) -> Scalars {
@@ -134,7 +134,8 @@ fn batch_one_reproduces_the_unbatched_engine() {
     // `--batch-size 1` takes the original per-tuple send path verbatim
     // (no staging), so the run must reproduce the report scalars the
     // pre-batching engine produced at this (seed, scenario) — the same
-    // values committed for the simbench quick wordcount baseline.
+    // values as the 30-virtual-second wordcount cells in the
+    // pre-fingerprint history of BENCH_sim.json.
     let s = run_wordcount(42, 1, 30);
     assert_eq!(
         s,
