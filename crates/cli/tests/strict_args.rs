@@ -22,6 +22,10 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["run", "--pair-backend", "dense"],
         "unknown flag `--pair-backend`",
     ),
+    (
+        &["run", "--engine-stats-json"],
+        "unknown flag `--engine-stats-json`",
+    ),
     (&["run", "--rate"], "requires a value"),
     (&["run", "--rate", "fast"], "`fast` is not a number"),
     // A non-positive or non-finite rate would panic in the Redis
