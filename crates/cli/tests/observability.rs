@@ -8,7 +8,7 @@ use tstorm_cli::{run_scenario, RunOptions, ScenarioOutcome, ScenarioTopology};
 use tstorm_cluster::ClusterSpec;
 use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
 use tstorm_sim::FaultPlan;
-use tstorm_trace::{json, parse_recording, JsonValue};
+use tstorm_trace::{parse_recording, JsonValue};
 use tstorm_types::{Mhz, SimTime};
 use tstorm_workloads::throughput::{self, ThroughputParams};
 use tstorm_workloads::wordcount::{self, WordCountParams, WordCountState};
@@ -219,12 +219,19 @@ fn scale_recordings_name_the_built_cluster() {
         ..RunOptions::default()
     };
     run_scenario(&opts).expect("runs");
-    // The meta line alone: the epoch-0 decision line after it holds
-    // 10,200 placements (1.8 MB), which `parse_recording` takes close
-    // to a minute to read.
     let text = std::fs::read_to_string(&path).expect("recording");
-    let meta = json::parse(text.lines().next().expect("a meta line")).expect("meta parses");
-    let meta = |key: &str| meta.get(key).cloned();
+    let run = parse_recording(&text).expect("the recording parses");
+    let decisions = run.lines_of("decision");
+    let placements = decisions
+        .first()
+        .and_then(|d| d.get("decisions"))
+        .and_then(JsonValue::as_array)
+        .map_or(0, <[JsonValue]>::len);
+    assert_eq!(
+        placements, 10_200,
+        "the epoch-0 decision places every executor"
+    );
+    let meta = |key: &str| run.meta.get(key).cloned();
     assert_eq!(
         meta("scenario"),
         Some(JsonValue::String("scale-100".into()))

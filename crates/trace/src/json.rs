@@ -171,6 +171,7 @@ impl JsonValue {
 #[must_use]
 pub fn parse(input: &str) -> Option<JsonValue> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -185,6 +186,7 @@ pub fn parse(input: &str) -> Option<JsonValue> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -235,41 +237,37 @@ impl Parser<'_> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek()? {
-                b'"' => {
-                    self.pos += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    match self.peek()? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.pos += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.pos += 1;
-                }
-                _ => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain characters up to the next quote or
+            // backslash as one slice. Both are ASCII, so the cut always
+            // falls on a character boundary of the (valid UTF-8) input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|b| matches!(b, b'"' | b'\\'))?;
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.eat(b'"').is_some() {
+                return Some(out);
             }
+            // A backslash: decode one escape.
+            self.pos += 1;
+            match self.peek()? {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self.bytes.get(self.pos + 1..self.pos + 5)?;
+                    let code = u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
+                    out.push(char::from_u32(code)?);
+                    self.pos += 4;
+                }
+                _ => return None,
+            }
+            self.pos += 1;
         }
     }
 
@@ -384,6 +382,45 @@ mod tests {
         let mut o = ObjectWriter::new();
         o.f64("x", f64::NAN).f64("y", f64::INFINITY);
         assert_eq!(o.finish(), r#"{"x":null,"y":null}"#);
+    }
+
+    #[test]
+    fn parses_escapes_and_multibyte_text() {
+        let v = parse(r#"["a\"b\\c\/d\n\r\t\b\f\u00e9\u0041", "ümlaut → ✓", ""]"#).expect("parses");
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("a\"b\\c/d\n\r\t\u{8}\u{c}éA"));
+        assert_eq!(items[1].as_str(), Some("ümlaut → ✓"));
+        assert_eq!(items[2].as_str(), Some(""));
+        assert_eq!(parse(r#""unterminated"#), None);
+        assert_eq!(parse(r#""bad \q escape""#), None);
+        assert_eq!(parse(r#""short \u12""#), None);
+    }
+
+    /// Parsing is linear in the input: a multi-megabyte string, plain
+    /// runs broken by escapes and multi-byte characters, parses well
+    /// within a bound that a per-character rescan of the rest of the
+    /// input (quadratic, minutes at this size) could not meet.
+    #[test]
+    fn parses_a_multi_megabyte_string_in_linear_time() {
+        let chunk = r#"exec-1234 → slot-7 \"ok\"\\ "#;
+        let want_chunk = r#"exec-1234 → slot-7 "ok"\ "#;
+        let repeats = (4 << 20) / chunk.len();
+        let mut text = String::from("{\"decision\":\"");
+        let mut want = String::new();
+        for _ in 0..repeats {
+            text.push_str(chunk);
+            want.push_str(want_chunk);
+        }
+        text.push_str("\"}");
+        let start = std::time::Instant::now();
+        let v = parse(&text).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(v.get("decision").and_then(JsonValue::as_str), Some(&*want));
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{} MB took {elapsed:?}",
+            text.len() >> 20
+        );
     }
 
     #[test]
