@@ -43,7 +43,7 @@ use crate::explain::{PlacementDecision, ScheduleExplanation};
 use crate::problem::{Adjacency, SchedulingInput};
 use crate::Scheduler;
 use tstorm_cluster::Assignment;
-use tstorm_types::{FxHashMap, Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
+use tstorm_types::{Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
 
 /// The traffic-aware greedy scheduler (Algorithm 1).
 #[derive(Debug, Clone, Default)]
@@ -92,12 +92,16 @@ struct State<'a> {
     node_load: Vec<Mhz>,
     /// Executor count on each node.
     node_count: Vec<usize>,
-    /// The unique slot of (node, topology), once opened.
-    node_topo_slot: FxHashMap<(NodeId, TopologyId), SlotId>,
+    /// The slot each topology has opened on each node, per node: at
+    /// most one per topology (constraint 1), so a list no longer than
+    /// the node's slot count.
+    node_topo_slot: Vec<Vec<(TopologyId, SlotId)>>,
     /// Traffic from each executor to already-assigned executors, per
-    /// node: row-major, executor `p`'s traffic to node `k` at
-    /// `p * nodes + k`.
-    node_traffic: Vec<f64>,
+    /// node: node-major, executor `p`'s traffic to node `k` at
+    /// `node_traffic[k][p]`, so one placement's updates fall in one
+    /// node's row. A row is allocated when its node receives its first
+    /// executor; until then every executor's traffic to it is 0.
+    node_traffic: Vec<Vec<f64>>,
     /// Total traffic from each executor to already-assigned executors.
     assigned_traffic: Vec<f64>,
     /// Whether the executor at each position is placed.
@@ -127,8 +131,8 @@ impl<'a> State<'a> {
             slot_count: vec![0; ns],
             node_load: vec![Mhz::ZERO; k],
             node_count: vec![0; k],
-            node_topo_slot: FxHashMap::default(),
-            node_traffic: vec![0.0; n * k],
+            node_topo_slot: vec![Vec::new(); k],
+            node_traffic: vec![Vec::new(); k],
             assigned_traffic: vec![0.0; n],
             placed: vec![false; n],
         }
@@ -138,8 +142,11 @@ impl<'a> State<'a> {
     /// existing slot there, or the first free slot. `None` if neither
     /// exists (constraint 1 is never relaxed — it is structural).
     fn candidate_slot(&self, node: NodeId, topology: TopologyId) -> Option<SlotId> {
-        if let Some(slot) = self.node_topo_slot.get(&(node, topology)) {
-            return Some(*slot);
+        let opened = self.node_topo_slot[node.as_usize()]
+            .iter()
+            .find(|(t, _)| *t == topology);
+        if let Some(&(_, slot)) = opened {
+            return Some(slot);
         }
         self.input
             .cluster
@@ -174,28 +181,37 @@ impl<'a> State<'a> {
     /// assigned executors on all *other* nodes.
     fn placement_cost(&self, pos: usize, node: NodeId) -> f64 {
         let total = self.assigned_traffic[pos];
-        let local = self.node_traffic[pos * self.input.cluster.num_nodes() + node.as_usize()];
+        let local = self.node_traffic[node.as_usize()]
+            .get(pos)
+            .copied()
+            .unwrap_or(0.0);
         total - local
     }
 
     fn place(&mut self, pos: usize, load: Mhz, topology: TopologyId, slot: SlotId) {
-        let node = self.input.cluster.node_of(slot);
         let j = slot.as_usize();
-        let k = node.as_usize();
-        let nodes = self.input.cluster.num_nodes();
+        let k = self.input.cluster.node_of(slot).as_usize();
+        let n = self.placed.len();
         self.slot_topology[j] = Some(topology);
         self.slot_count[j] += 1;
         self.node_load[k] += load;
         self.node_count[k] += 1;
-        self.node_topo_slot.insert((node, topology), slot);
+        let opened = &mut self.node_topo_slot[k];
+        if !opened.iter().any(|(t, _)| *t == topology) {
+            opened.push((topology, slot));
+        }
         self.placed[pos] = true;
         // Incremental cost maintenance: every unplaced neighbour of the
         // newly placed executor now sees its traffic to `node`
         // increase. A placed one's costs are never read again.
+        let to_node = &mut self.node_traffic[k];
+        if to_node.is_empty() {
+            to_node.resize(n, 0.0);
+        }
         for nb in self.adjacency.row(pos) {
             let other = nb.pos as usize;
             if nb.pos != Adjacency::OUTSIDE && !self.placed[other] {
-                self.node_traffic[other * nodes + k] += nb.rate;
+                to_node[other] += nb.rate;
                 self.assigned_traffic[other] += nb.rate;
             }
         }
@@ -358,7 +374,7 @@ mod tests {
     use crate::problem::{ExecutorInfo, SchedParams, TrafficMatrix};
     use crate::quality::AssignmentQuality;
     use tstorm_cluster::{ClusterSpec, NodeSpec};
-    use tstorm_types::{ComponentId, ExecutorId};
+    use tstorm_types::{ComponentId, ExecutorId, FxHashMap};
 
     fn e(id: u32) -> ExecutorId {
         ExecutorId::new(id)

@@ -58,8 +58,8 @@ impl Simulation {
         if self.spans.is_some() {
             spans = self.span_pool.pop().unwrap_or_default();
             if let Some(queued_at) = replay_queued_at {
-                let node = self.executors[idx]
-                    .location
+                let node = self.placement[idx]
+                    .slot
                     .map_or(NodeId::new(0), |s| self.cluster.node_of(s));
                 let waited = self.span_micros(emit_at, queued_at);
                 span = spans.extend(NO_SPAN, SpanSeg::replay(id, node, waited));

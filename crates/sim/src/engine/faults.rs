@@ -216,10 +216,10 @@ impl Simulation {
     /// executors stay unassigned until a future assignment places them.
     fn crash_slot(&mut self, slot: SlotId) {
         let victims: Vec<usize> = self
-            .executors
+            .placement
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.location == Some(slot))
+            .filter(|(_, p)| p.slot == Some(slot))
             .map(|(i, _)| i)
             .collect();
         if victims.is_empty() {
@@ -233,9 +233,8 @@ impl Simulation {
         let mut lost = 0u64;
         for i in victims {
             lost += self.stop_executor(i);
-            let e = &mut self.executors[i];
-            e.location = None;
-            e.paused_until = None;
+            self.placement[i].slot = None;
+            self.executors[i].paused_until = None;
             self.current.unassign(ExecutorId::new(i as u32));
         }
         self.note_tuple_lost(lost);

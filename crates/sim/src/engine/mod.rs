@@ -104,10 +104,6 @@ struct ExecRt {
     logic: ExecutorLogic,
     queue: VecDeque<Box<Envelope>>,
     busy: Option<BusyWork>,
-    /// Current slot, if assigned.
-    location: Option<SlotId>,
-    /// Restart epoch: bumped when Storm kills the hosting worker.
-    epoch: u32,
     /// Unavailable until this time (worker starting).
     paused_until: Option<SimTime>,
     /// Spouts do not emit before this time (smooth re-assignment halt).
@@ -132,6 +128,17 @@ struct ExecRt {
     /// Service completions finished by this executor — the age base for
     /// the batch flush guard.
     completions: u64,
+}
+
+/// Where one executor runs, and which incarnation of its worker a
+/// message must reach: the two fields every message reads at its
+/// destination, kept in a dense table apart from the rest of [`ExecRt`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Placement {
+    /// Current slot, if assigned.
+    slot: Option<SlotId>,
+    /// Restart epoch: bumped when Storm kills the hosting worker.
+    epoch: u32,
 }
 
 /// State of one in-flight spout tuple (the ack tree root).
@@ -173,6 +180,9 @@ pub struct Simulation {
     network: Network,
     topologies: Vec<TopoRt>,
     executors: Vec<ExecRt>,
+    /// Placement of each executor, indexed by executor id: the only
+    /// copy of its slot and restart epoch.
+    placement: Vec<Placement>,
     /// In-flight ack-tree roots: slab storage, addressed by
     /// generation-checked handles carried in envelopes and timeout
     /// events — no per-tuple hashing.
@@ -304,6 +314,7 @@ impl Simulation {
             queue: EventQueue::new(),
             topologies: Vec::new(),
             executors: Vec::new(),
+            placement: Vec::new(),
             roots: Slab::new(),
             next_tuple: 0,
             next_edge: 0,
@@ -431,6 +442,9 @@ impl Simulation {
 
         // Create executors in plan order; global id = base + plan index.
         let mut exec_ids = Vec::with_capacity(plan.len());
+        // The executor table is the engine's largest: grow it once, to
+        // size, rather than through a chain of doubled copies.
+        self.executors.reserve_exact(plan.len());
         for spec in plan.executors() {
             let comp = topology.component(spec.component);
             let logic = if spec.is_acker {
@@ -451,8 +465,6 @@ impl Simulation {
                 logic,
                 queue: VecDeque::new(),
                 busy: None,
-                location: None,
-                epoch: 0,
                 paused_until: None,
                 spout_halt_until: SimTime::ZERO,
                 tick_scheduled: false,
@@ -464,6 +476,8 @@ impl Simulation {
                 completions: 0,
             });
         }
+        self.placement
+            .resize(self.executors.len(), Placement::default());
         self.counters.ensure_executors(self.executors.len());
 
         let ackers = acker_comp

@@ -24,10 +24,9 @@ impl Simulation {
         for i in 0..self.executors.len() {
             let id = ExecutorId::new(i as u32);
             let slot = assignment.slot_of(id);
-            let exec = &mut self.executors[i];
-            exec.location = slot;
+            self.placement[i].slot = slot;
             if slot.is_some() {
-                exec.paused_until = Some(ready_at);
+                self.executors[i].paused_until = Some(ready_at);
                 self.queue.push(ready_at, Event::ExecutorResume(id));
             }
         }
@@ -136,7 +135,7 @@ impl Simulation {
     fn node_slice_changes(&self, node: NodeId, target: &Assignment) -> Option<NodeSliceChanges> {
         let mut incoming = Vec::new();
         let mut retired = Vec::new();
-        for (i, e) in self.executors.iter().enumerate() {
+        for (i, (e, placed)) in self.executors.iter().zip(&self.placement).enumerate() {
             if !e.alive {
                 continue;
             }
@@ -144,12 +143,12 @@ impl Simulation {
             let new_slot = target.slot_of(id);
             match new_slot {
                 Some(s) if self.cluster.node_of(s) == node => {
-                    if e.location != Some(s) {
+                    if placed.slot != Some(s) {
                         incoming.push((id, s));
                     }
                 }
                 None => {
-                    if e.location.is_some_and(|s| self.cluster.node_of(s) == node) {
+                    if placed.slot.is_some_and(|s| self.cluster.node_of(s) == node) {
                         retired.push(id);
                     }
                 }
@@ -176,11 +175,11 @@ impl Simulation {
         let before = self.current.clone();
         let old_slots = before.slots_used();
         for &(id, slot) in &incoming {
-            self.executors[id.as_usize()].location = Some(slot);
+            self.placement[id.as_usize()].slot = Some(slot);
             self.current.assign(id, slot);
         }
         for &id in &retired {
-            self.executors[id.as_usize()].location = None;
+            self.placement[id.as_usize()].slot = None;
             self.current.unassign(id);
         }
         let diff = before.diff(&self.current);
@@ -217,9 +216,8 @@ impl Simulation {
                 continue;
             }
             self.stop_executor(i);
-            let e = &mut self.executors[i];
-            e.alive = false;
-            e.location = None;
+            self.executors[i].alive = false;
+            self.placement[i].slot = None;
             self.current.unassign(ExecutorId::new(i as u32));
         }
         // Forget pending roots originating from the killed topology so
@@ -252,7 +250,7 @@ impl Simulation {
         }
         lost += self.drain_queue_to_pool(idx);
         lost += self.drop_pending_outbound(idx);
-        self.executors[idx].epoch += 1;
+        self.placement[idx].epoch += 1;
         lost
     }
 
@@ -300,12 +298,12 @@ impl Simulation {
         let ready_at = self.clock + self.config.reassign.worker_startup;
         for i in 0..self.executors.len() {
             let id = ExecutorId::new(i as u32);
-            let old_slot = self.executors[i].location;
+            let old_slot = self.placement[i].slot;
             let new_slot = new.slot_of(id);
             let affected = old_slot != new_slot
                 || old_slot.is_some_and(|s| diff.changed_slots.contains(&s))
                 || new_slot.is_some_and(|s| diff.changed_slots.contains(&s));
-            self.executors[i].location = new_slot;
+            self.placement[i].slot = new_slot;
             if affected {
                 self.stop_executor(i);
                 if new_slot.is_some() {
@@ -324,8 +322,8 @@ impl Simulation {
         let k = self.cluster.num_nodes();
         let mut located = vec![0u32; k];
         let mut slots_used: FxHashSet<SlotId> = FxHashSet::default();
-        for e in &self.executors {
-            if let Some(slot) = e.location {
+        for placed in &self.placement {
+            if let Some(slot) = placed.slot {
                 located[self.cluster.node_of(slot).as_usize()] += 1;
                 slots_used.insert(slot);
             }

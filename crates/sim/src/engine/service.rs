@@ -12,13 +12,15 @@ use tstorm_types::{ExecutorId, NodeId, SimTime, TupleId};
 impl Simulation {
     pub(super) fn is_available(&self, idx: usize) -> bool {
         let e = &self.executors[idx];
-        e.alive && e.location.is_some() && e.paused_until.is_none_or(|t| t <= self.clock)
+        e.alive
+            && self.placement[idx].slot.is_some()
+            && e.paused_until.is_none_or(|t| t <= self.clock)
     }
 
     pub(super) fn on_spout_tick(&mut self, id: ExecutorId) {
         let idx = id.as_usize();
         self.executors[idx].tick_scheduled = false;
-        if self.executors[idx].location.is_none() {
+        if self.placement[idx].slot.is_none() {
             return; // re-ticked on resume
         }
         if let Some(t) = self.executors[idx].paused_until {
@@ -227,8 +229,8 @@ impl Simulation {
     /// Marks the executor's node as running one more thread; returns the
     /// node index holding the charge.
     fn occupy_cpu(&mut self, exec_idx: usize) -> usize {
-        let k = self.executors[exec_idx]
-            .location
+        let k = self.placement[exec_idx]
+            .slot
             .map_or(0, |slot| self.cluster.node_of(slot).as_usize());
         self.node_busy[k] += 1;
         k
@@ -247,7 +249,7 @@ impl Simulation {
     /// worker process. Call after [`Simulation::occupy_cpu`] so the
     /// starting thread counts itself.
     fn service_time(&mut self, exec_idx: usize, cycles: u64) -> SimTime {
-        let Some(slot) = self.executors[exec_idx].location else {
+        let Some(slot) = self.placement[exec_idx].slot else {
             return SimTime::from_micros(1);
         };
         let k = self.cluster.node_of(slot).as_usize();

@@ -30,10 +30,11 @@ const BATCH_MAX_AGE_FACTOR: u64 = 8;
 impl Simulation {
     pub(super) fn on_deliver(&mut self, env: Box<Envelope>) {
         let idx = env.dst.as_usize();
-        if env.dst_epoch != self.executors[idx].epoch {
+        let dst = self.placement[idx];
+        if env.dst_epoch != dst.epoch {
             // The destination worker was stopped while this message was
             // in flight.
-            self.drop_undeliverable(1, self.executors[idx].location.is_none());
+            self.drop_undeliverable(1, dst.slot.is_none());
             self.recycle_envelope(env);
             return;
         }
@@ -128,7 +129,7 @@ impl Simulation {
                         edge_id,
                         root,
                         root_handle,
-                        dst_epoch: self.executors[dst.as_usize()].epoch,
+                        dst_epoch: self.placement[dst.as_usize()].epoch,
                         kind: EnvelopeKind::Data,
                         span,
                         delivered_at: SimTime::ZERO,
@@ -163,7 +164,7 @@ impl Simulation {
             edge_id: 0,
             root: Some(root),
             root_handle,
-            dst_epoch: self.executors[dst.as_usize()].epoch,
+            dst_epoch: self.placement[dst.as_usize()].epoch,
             kind,
             span,
             delivered_at: SimTime::ZERO,
@@ -187,8 +188,8 @@ impl Simulation {
         payload: Bytes,
     ) -> Option<(NodeId, NodeId, HopClass)> {
         let (Some(src_slot), Some(dst_slot)) = (
-            self.executors[env.src.as_usize()].location,
-            self.executors[env.dst.as_usize()].location,
+            self.placement[env.src.as_usize()].slot,
+            self.placement[env.dst.as_usize()].slot,
         ) else {
             // The message is lost before it ever leaves; anchored roots
             // will time out.
@@ -333,8 +334,8 @@ impl Simulation {
     /// exactly.
     fn flush_batch(&mut self, mut batch: Box<BatchEnvelope>) {
         let (Some(src_slot), Some(dst_slot)) = (
-            self.executors[batch.src.as_usize()].location,
-            self.executors[batch.dst.as_usize()].location,
+            self.placement[batch.src.as_usize()].slot,
+            self.placement[batch.dst.as_usize()].slot,
         ) else {
             // An endpoint lost its placement between staging and flush:
             // every staged tuple is lost.
@@ -411,8 +412,9 @@ impl Simulation {
         self.events_processed += (batch.tuples.len() as u64).saturating_sub(1);
         let idx = batch.dst.as_usize();
         for env in batch.tuples.drain(..) {
-            if env.dst_epoch != self.executors[idx].epoch {
-                self.drop_undeliverable(1, self.executors[idx].location.is_none());
+            let dst = self.placement[idx];
+            if env.dst_epoch != dst.epoch {
+                self.drop_undeliverable(1, dst.slot.is_none());
                 continue;
             }
             let boxed = self.boxed_envelope(env);
