@@ -29,13 +29,14 @@
 //! standalone outside any pool.
 
 use crate::experiments::{run_app, AppWorkload, ExperimentOutcome};
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use tstorm_core::SystemMode;
 use tstorm_metrics::aggregate::{aggregate_cells, AggregateError, ReportAggregate};
 use tstorm_metrics::RunReport;
 use tstorm_sim::FaultPlan;
-use tstorm_trace::json::{write_escaped, write_f64, ObjectWriter};
+use tstorm_trace::json::{array, write_escaped, write_f64, ObjectWriter};
 use tstorm_types::{derive_seed, SimTime};
 
 /// Everything a sweep can get wrong before any trial runs.
@@ -374,36 +375,17 @@ pub fn aggregate_trials(
 /// whether it ran standalone, on the main thread, or through the pool.
 #[must_use]
 pub fn report_json(report: &RunReport) -> String {
-    let mut points = String::from("[");
-    for (i, p) in report.proc_points().iter().enumerate() {
-        if i > 0 {
-            points.push(',');
-        }
+    let points = array(report.proc_points(), |out, p| {
         let mut o = ObjectWriter::new();
         o.u64("t", p.start.as_secs());
         o.f64("mean", if p.count == 0 { f64::NAN } else { p.mean });
         o.u64("count", p.count);
-        points.push_str(&o.finish());
-    }
-    points.push(']');
-
-    let mut nodes = String::from("[");
-    for (i, (t, n)) in report.nodes_used.steps().iter().enumerate() {
-        if i > 0 {
-            nodes.push(',');
-        }
-        nodes.push_str(&format!("[{},{}]", t.as_secs(), n));
-    }
-    nodes.push(']');
-
-    let mut recoveries = String::from("[");
-    for (i, ms) in report.recovery_latency_ms.iter().enumerate() {
-        if i > 0 {
-            recoveries.push(',');
-        }
-        write_f64(&mut recoveries, *ms);
-    }
-    recoveries.push(']');
+        out.push_str(&o.finish());
+    });
+    let nodes = array(report.nodes_used.steps(), |out, (t, n)| {
+        let _ = write!(out, "[{},{}]", t.as_secs(), n);
+    });
+    let recoveries = array(&report.recovery_latency_ms, |out, ms| write_f64(out, *ms));
 
     let mut o = ObjectWriter::new();
     o.str("label", &report.label)
@@ -459,68 +441,25 @@ fn stats_json(agg: &ReportAggregate) -> String {
 #[must_use]
 pub fn render_sweep_json(results: &SweepResults) -> String {
     let grid = &results.grid;
-    let list = |items: Vec<String>| -> String {
-        let mut out = String::from("[");
-        for (i, item) in items.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(item);
-        }
-        out.push(']');
-        out
-    };
-    let str_list = |names: Vec<&str>| -> String {
-        let mut out = String::from("[");
-        for (i, name) in names.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_escaped(&mut out, name);
-        }
-        out.push(']');
-        out
-    };
-
-    let cells = list(
-        results
-            .aggregates
-            .iter()
-            .map(|a| {
-                let mut o = ObjectWriter::new();
-                o.str("label", &a.label)
-                    .u64("trials", a.trials as u64)
-                    .raw("metrics", &stats_json(a));
-                o.finish()
-            })
-            .collect(),
-    );
-    let trials = list(
-        results
-            .trials
-            .iter()
-            .map(|t| {
-                let mut o = ObjectWriter::new();
-                o.u64("index", t.index as u64)
-                    .str("cell", &t.cell_label)
-                    .u64("seed_ordinal", u64::from(t.seed_ordinal))
-                    .u64("seed", t.seed)
-                    .u64("overload_events", u64::from(t.outcome.overload_events))
-                    .u64("reassignments", u64::from(t.outcome.reassignments))
-                    .raw("report", &report_json(&t.outcome.report));
-                o.finish()
-            })
-            .collect(),
-    );
-
-    let mut gammas = String::from("[");
-    for (i, g) in grid.gammas.iter().enumerate() {
-        if i > 0 {
-            gammas.push(',');
-        }
-        write_f64(&mut gammas, *g);
-    }
-    gammas.push(']');
+    let cells = array(&results.aggregates, |out, a| {
+        let mut o = ObjectWriter::new();
+        o.str("label", &a.label)
+            .u64("trials", a.trials as u64)
+            .raw("metrics", &stats_json(a));
+        out.push_str(&o.finish());
+    });
+    let trials = array(&results.trials, |out, t| {
+        let mut o = ObjectWriter::new();
+        o.u64("index", t.index as u64)
+            .str("cell", &t.cell_label)
+            .u64("seed_ordinal", u64::from(t.seed_ordinal))
+            .u64("seed", t.seed)
+            .u64("overload_events", u64::from(t.outcome.overload_events))
+            .u64("reassignments", u64::from(t.outcome.reassignments))
+            .raw("report", &report_json(&t.outcome.report));
+        out.push_str(&o.finish());
+    });
+    let gammas = array(&grid.gammas, |out, g| write_f64(out, *g));
 
     let mut o = ObjectWriter::new();
     o.str("tool", "tstorm-sweep")
@@ -530,11 +469,11 @@ pub fn render_sweep_json(results: &SweepResults) -> String {
         .str("cluster", "homogeneous 10 nodes x 4 slots @ 8000 MHz")
         .raw(
             "workloads",
-            &str_list(grid.workloads.iter().map(|w| w.name()).collect()),
+            &array(grid.workloads.iter().map(|w| w.name()), write_escaped),
         )
         .raw(
             "modes",
-            &str_list(grid.modes.iter().map(|m| mode_name(*m)).collect()),
+            &array(grid.modes.iter().map(|m| mode_name(*m)), write_escaped),
         )
         .raw("gammas", &gammas)
         .u64("seeds_per_cell", u64::from(grid.seeds))
@@ -543,7 +482,7 @@ pub fn render_sweep_json(results: &SweepResults) -> String {
         .u64("stable_from_secs", grid.stable_from().as_secs())
         .raw(
             "faults",
-            &str_list(grid.faults.iter().map(String::as_str).collect()),
+            &array(grid.faults.iter().map(String::as_str), write_escaped),
         )
         .raw("cells", &cells)
         .raw("trials", &trials);

@@ -131,16 +131,6 @@ impl Assignment {
         self.map.values().map(|s| cluster.node_of(*s)).collect()
     }
 
-    /// Per-slot executor sets, in slot order.
-    #[must_use]
-    pub fn by_slot(&self) -> BTreeMap<SlotId, Vec<ExecutorId>> {
-        let mut out: BTreeMap<SlotId, Vec<ExecutorId>> = BTreeMap::new();
-        for (e, s) in &self.map {
-            out.entry(*s).or_default().push(*e);
-        }
-        out
-    }
-
     /// Total estimated load per node, given executor contexts.
     #[must_use]
     pub fn node_loads(
@@ -296,12 +286,6 @@ impl VersionedAssignment {
     pub fn new(epoch: u64, assignment: Assignment) -> Self {
         Self { epoch, assignment }
     }
-
-    /// True when this publication supersedes a reader that has applied
-    /// `applied_epoch` — i.e. a fetch would carry new information.
-    pub fn is_newer_than(&self, applied_epoch: u64) -> bool {
-        self.epoch > applied_epoch
-    }
 }
 
 impl FromIterator<(ExecutorId, SlotId)> for Assignment {
@@ -370,7 +354,6 @@ mod tests {
         let nodes = a.nodes_used(&c);
         assert!(nodes.contains(&NodeId::new(0)));
         assert!(nodes.contains(&NodeId::new(1)));
-        assert_eq!(a.by_slot().len(), 2);
     }
 
     #[test]

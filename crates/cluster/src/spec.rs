@@ -233,12 +233,6 @@ impl ClusterSpec {
         self.slots[start..start + len as usize].iter()
     }
 
-    /// Total CPU capacity across the cluster.
-    #[must_use]
-    pub fn total_capacity(&self) -> Mhz {
-        self.nodes.iter().map(|n| n.capacity).sum()
-    }
-
     /// Marks a node crashed (`live == false`) or recovered.
     ///
     /// # Panics
@@ -258,16 +252,6 @@ impl ClusterSpec {
         self.live[node.as_usize()]
     }
 
-    /// Whether a slot's owning node is currently up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot id is out of range.
-    #[must_use]
-    pub fn is_slot_live(&self, slot: SlotId) -> bool {
-        self.is_node_live(self.node_of(slot))
-    }
-
     /// Live nodes only, ordered by id.
     pub fn live_nodes(&self) -> impl Iterator<Item = &NodeSpec> {
         self.nodes.iter().filter(|n| self.is_node_live(n.id))
@@ -277,17 +261,6 @@ impl ClusterSpec {
     #[must_use]
     pub fn num_live_nodes(&self) -> usize {
         self.live.iter().filter(|l| **l).count()
-    }
-
-    /// Live slots only, ordered by slot id.
-    pub fn live_slots(&self) -> impl Iterator<Item = &SlotInfo> {
-        self.slots.iter().filter(|s| self.is_node_live(s.node))
-    }
-
-    /// Total CPU capacity across live nodes.
-    #[must_use]
-    pub fn live_capacity(&self) -> Mhz {
-        self.live_nodes().map(|n| n.capacity).sum()
     }
 }
 
@@ -304,7 +277,6 @@ mod tests {
         assert_eq!(c.node_of(SlotId::new(4)), NodeId::new(1));
         assert_eq!(c.node_of(SlotId::new(11)), NodeId::new(2));
         assert_eq!(c.slots_of(NodeId::new(1)).count(), 4);
-        assert_eq!(c.total_capacity().get(), 12_000.0);
     }
 
     #[test]
@@ -417,16 +389,13 @@ mod tests {
         let mut c = ClusterSpec::homogeneous(3, 2, Mhz::new(4000.0)).expect("valid");
         assert_eq!(c.num_live_nodes(), 3);
         assert!(c.is_node_live(NodeId::new(1)));
-        assert_eq!(c.live_slots().count(), 6);
 
         c.set_node_live(NodeId::new(1), false);
         assert!(!c.is_node_live(NodeId::new(1)));
-        assert!(!c.is_slot_live(SlotId::new(2)));
-        assert!(c.is_slot_live(SlotId::new(0)));
+        assert!(!c.is_node_live(c.node_of(SlotId::new(2))));
+        assert!(c.is_node_live(c.node_of(SlotId::new(0))));
         assert_eq!(c.num_live_nodes(), 2);
         assert_eq!(c.live_nodes().count(), 2);
-        assert_eq!(c.live_slots().count(), 4);
-        assert_eq!(c.live_capacity().get(), 8000.0);
         // The shape is untouched: ids still resolve.
         assert_eq!(c.num_nodes(), 3);
         assert_eq!(c.node_of(SlotId::new(2)), NodeId::new(1));

@@ -10,8 +10,7 @@
 //! at topology submission, before the store has seen any publish.
 
 use tstorm_cluster::{Assignment, VersionedAssignment};
-use tstorm_sched::ScheduleExplanation;
-use tstorm_types::{AssignmentId, SimTime};
+use tstorm_types::AssignmentId;
 
 /// One published schedule, as stored in the shared DB.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,28 +19,21 @@ pub struct StoredSchedule {
     pub id: AssignmentId,
     /// The epoch-stamped assignment.
     pub versioned: VersionedAssignment,
-    /// Virtual time of publication.
-    pub published_at: SimTime,
-    /// Name of the algorithm that produced it.
-    pub algorithm: String,
-    /// The scheduler's decision records for this publication, when
-    /// explanation was enabled at generation time.
-    pub explanation: Option<ScheduleExplanation>,
 }
 
 /// The shared schedule DB between generator and Nimbus.
 ///
-/// Holds the latest publication only — like the paper's DB, a newer
-/// schedule supersedes an unfetched older one — plus the epoch watermark
-/// of what Nimbus has fetched so far.
+/// Holds the latest publication until Nimbus fetches it — like the
+/// paper's DB, a newer schedule supersedes an unfetched older one. A
+/// fetch hands the publication over, so Nimbus alone keeps a fetched
+/// assignment (and its epoch, [`crate::Nimbus::cluster_epoch`]).
 #[derive(Debug, Default)]
 pub struct ScheduleStore {
-    latest: Option<StoredSchedule>,
+    /// The latest publication, until Nimbus fetches or a swap discards
+    /// it.
+    unfetched: Option<StoredSchedule>,
     /// Epoch handed out to the most recent publication (0 = none yet).
     last_epoch: u64,
-    /// Highest epoch Nimbus has fetched (0 = only the initial schedule).
-    fetched_epoch: u64,
-    publishes: u64,
     discards: u64,
 }
 
@@ -53,33 +45,14 @@ impl ScheduleStore {
     }
 
     /// Publishes a schedule, stamping it with the next epoch, and
-    /// returns that epoch. `explanation` carries the scheduler's
-    /// decision records when explanation is enabled, so a reader can
-    /// reconstruct *why* the epoch's placements were made.
-    pub fn publish(
-        &mut self,
-        id: AssignmentId,
-        assignment: Assignment,
-        at: SimTime,
-        algorithm: impl Into<String>,
-        explanation: Option<ScheduleExplanation>,
-    ) -> u64 {
+    /// returns that epoch.
+    pub fn publish(&mut self, id: AssignmentId, assignment: Assignment) -> u64 {
         self.last_epoch += 1;
-        self.publishes += 1;
-        self.latest = Some(StoredSchedule {
+        self.unfetched = Some(StoredSchedule {
             id,
             versioned: VersionedAssignment::new(self.last_epoch, assignment),
-            published_at: at,
-            algorithm: algorithm.into(),
-            explanation,
         });
         self.last_epoch
-    }
-
-    /// The latest publication, if any survives in the store.
-    #[must_use]
-    pub fn latest(&self) -> Option<&StoredSchedule> {
-        self.latest.as_ref()
     }
 
     /// Epoch of the most recent publication (0 when nothing was ever
@@ -101,9 +74,7 @@ impl ScheduleStore {
     /// not fetched yet.
     #[must_use]
     pub fn has_unfetched(&self) -> bool {
-        self.latest
-            .as_ref()
-            .is_some_and(|s| s.versioned.epoch > self.fetched_epoch)
+        self.unfetched.is_some()
     }
 
     /// True when `assignment` is the latest publication and Nimbus has
@@ -112,47 +83,24 @@ impl ScheduleStore {
     /// need the same placement again.
     #[must_use]
     pub(crate) fn holds_unfetched(&self, assignment: &Assignment) -> bool {
-        self.has_unfetched()
-            && self
-                .latest
-                .as_ref()
-                .is_some_and(|s| s.versioned.assignment == *assignment)
+        self.unfetched
+            .as_ref()
+            .is_some_and(|s| s.versioned.assignment == *assignment)
     }
 
-    /// Nimbus's fetch: returns the latest publication if it is newer
-    /// than anything fetched before (advancing the fetch watermark), or
-    /// `None` when the store holds no news.
+    /// Nimbus's fetch: hands over the latest publication if Nimbus has
+    /// not fetched it yet, or `None` when the store holds no news.
     pub fn fetch(&mut self) -> Option<StoredSchedule> {
-        let latest = self.latest.as_ref()?;
-        if latest.versioned.epoch <= self.fetched_epoch {
-            return None;
-        }
-        self.fetched_epoch = latest.versioned.epoch;
-        Some(latest.clone())
-    }
-
-    /// Highest epoch fetched so far.
-    #[must_use]
-    pub fn fetched_epoch(&self) -> u64 {
-        self.fetched_epoch
+        self.unfetched.take()
     }
 
     /// Drops a published-but-unfetched schedule (e.g. its algorithm was
     /// hot-swapped out before any fetch), returning it. A schedule that
-    /// was already fetched is past discarding and stays.
+    /// was already fetched is past discarding.
     pub fn discard_unfetched(&mut self) -> Option<StoredSchedule> {
-        if self.has_unfetched() {
-            self.discards += 1;
-            self.latest.take()
-        } else {
-            None
-        }
-    }
-
-    /// Publications accepted over the store's lifetime.
-    #[must_use]
-    pub fn publishes(&self) -> u64 {
-        self.publishes
+        let dropped = self.unfetched.take()?;
+        self.discards += 1;
+        Some(dropped)
     }
 
     /// Unfetched publications discarded over the store's lifetime.
@@ -171,25 +119,7 @@ mod tests {
         store.publish(
             AssignmentId::from_timestamp_micros(at_secs * 1_000_000),
             Assignment::new(),
-            SimTime::from_secs(at_secs),
-            "test",
-            None,
         )
-    }
-
-    #[test]
-    fn explanation_rides_the_publication() {
-        let mut store = ScheduleStore::new();
-        store.publish(
-            AssignmentId::from_timestamp_micros(1_000_000),
-            Assignment::new(),
-            SimTime::from_secs(1),
-            "t-storm",
-            Some(ScheduleExplanation::new("t-storm")),
-        );
-        let fetched = store.fetch().expect("publication");
-        let ex = fetched.explanation.expect("explanation persisted");
-        assert_eq!(ex.algorithm, "t-storm");
     }
 
     #[test]
@@ -216,7 +146,6 @@ mod tests {
         );
         publish(&mut store, 20);
         assert_eq!(store.fetch().expect("news again").versioned.epoch, 2);
-        assert_eq!(store.fetched_epoch(), 2);
     }
 
     #[test]
@@ -227,13 +156,7 @@ mod tests {
         let mut b = Assignment::new();
         b.assign(ExecutorId::new(0), SlotId::new(1));
         assert!(!store.holds_unfetched(&a), "empty store");
-        store.publish(
-            AssignmentId::from_timestamp_micros(10),
-            a.clone(),
-            SimTime::ZERO,
-            "test",
-            None,
-        );
+        store.publish(AssignmentId::from_timestamp_micros(10), a.clone());
         assert!(store.holds_unfetched(&a));
         assert!(!store.holds_unfetched(&b), "a different placement is news");
         let _ = store.fetch();
@@ -256,7 +179,7 @@ mod tests {
         publish(&mut store, 20);
         let dropped = store.discard_unfetched().expect("unfetched publication");
         assert_eq!(dropped.versioned.epoch, 2);
-        assert!(store.latest().is_none());
+        assert!(!store.has_unfetched());
         assert_eq!(store.discards(), 1);
         // The burned epoch never repeats.
         assert_eq!(publish(&mut store, 30), 3);

@@ -4,13 +4,16 @@
 //! components it connects through the simulated timeline:
 //!
 //! - [`Nimbus`] owns the scheduler registry, the active algorithm, and
-//!   heartbeat-derived liveness (generation/recovery decisions);
+//!   heartbeat-derived liveness;
 //! - the [`ScheduleStore`] carries epoch-stamped publications from the
 //!   generator to Nimbus;
 //! - per-node [`Supervisor`] state machines heartbeat to Nimbus and
 //!   fetch/apply their node's slice of the cluster assignment on
 //!   jittered, phase-staggered timers — a rollout is *not* atomic, and
 //!   different nodes briefly run different assignment epochs.
+//!
+//! Every solve — periodic, overload, death declaration or crash
+//! recovery — goes through one private entry that takes its cause.
 
 use crate::config::{SystemMode, TStormConfig};
 use crate::nimbus::{ControlStats, Nimbus, Reconciliation};
@@ -27,7 +30,7 @@ use tstorm_sched::{
 };
 use tstorm_sim::{ExecutorLogic, SimCounters, Simulation, TopologyHandle};
 use tstorm_topology::{ComponentSpec, Topology};
-use tstorm_trace::json::{write_escaped, ObjectWriter};
+use tstorm_trace::json::{array, write_escaped, ObjectWriter};
 use tstorm_trace::{FlightRecorder, Observer, TraceEvent};
 use tstorm_types::{
     AssignmentId, ComponentId, ExecutorId, NodeId, Result, SimTime, TStormError, TopologyId,
@@ -47,6 +50,23 @@ const IMPROVEMENT_THRESHOLD: f64 = 0.1;
 /// monitoring window.
 const OVERLOAD_COOLDOWN: SimTime = SimTime::from_secs(60);
 
+/// Why the schedule generator re-runs the installed algorithm.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cause {
+    /// The generation period elapsed (T-Storm only). The only cause that
+    /// passes the publish hysteresis.
+    Periodic,
+    /// The overload detector fired (T-Storm only).
+    Overload,
+    /// Nimbus declared nodes dead from heartbeat silence.
+    Liveness,
+    /// A crash left this many executors without a worker.
+    Recovery {
+        /// Executors found without a live worker.
+        unplaced: usize,
+    },
+}
+
 /// A running T-Storm (or plain Storm) deployment over the simulator.
 ///
 /// See the crate docs for the control-loop structure; construct with
@@ -57,7 +77,6 @@ pub struct TStormSystem {
     config: TStormConfig,
     sim: Simulation,
     monitor: LoadMonitor,
-    detector: OverloadDetector,
     /// The cluster master: scheduler ownership + heartbeat liveness.
     nimbus: Nimbus,
     /// The schedule store between generator and Nimbus.
@@ -77,8 +96,6 @@ pub struct TStormSystem {
     recovery_events: u32,
     timeline: Vec<ControlEvent>,
     observer: Observer,
-    /// Whether schedulers record per-placement decisions.
-    explain: bool,
     /// Every explanation captured this run: (store epoch, when,
     /// records). Epoch 0 marks schedules that bypassed the store (the
     /// initial assignment, plain-Storm rewrites).
@@ -139,7 +156,6 @@ impl TStormSystem {
             .collect();
         Ok(Self {
             monitor,
-            detector: OverloadDetector::default(),
             nimbus,
             store: ScheduleStore::new(),
             supervisors,
@@ -156,7 +172,6 @@ impl TStormSystem {
             recovery_events: 0,
             timeline: Vec::new(),
             observer: Observer::disabled(),
-            explain: false,
             explanations: Vec::new(),
             recorder: None,
             recorded_timeline: 0,
@@ -190,11 +205,9 @@ impl TStormSystem {
 
     /// Turns scheduler decision recording on or off. When on, every
     /// schedule call — generation, initial assignment, rebalance,
-    /// recovery — captures a [`ScheduleExplanation`] that is persisted
-    /// through the store and retrievable via
+    /// recovery — captures a [`ScheduleExplanation`], retrievable via
     /// [`TStormSystem::explanations`].
     pub fn set_explain(&mut self, on: bool) {
-        self.explain = on;
         self.nimbus.set_explain(on);
     }
 
@@ -254,27 +267,26 @@ impl TStormSystem {
         self.recorded_timeline = self.timeline.len();
     }
 
-    /// Captures the active scheduler's decision records (when explain
-    /// is on), stamps them with `epoch`, and streams them to the
-    /// recorder. Returns a clone for the store.
-    fn record_explanation(
-        &mut self,
-        epoch: u64,
-        explanation: Option<ScheduleExplanation>,
-    ) -> Option<ScheduleExplanation> {
-        let explanation = explanation?;
+    /// Keeps a scheduler's decision records (when explain is on), stamped
+    /// with `epoch`, and streams them to the recorder.
+    fn record_explanation(&mut self, epoch: u64, explanation: Option<ScheduleExplanation>) {
+        let Some(explanation) = explanation else {
+            return;
+        };
         let at = self.sim.now();
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.line("decision", at, |o| {
                 o.u64("epoch", epoch)
                     .str("algorithm", &explanation.algorithm)
                     .f64("objective", explanation.total_objective())
-                    .raw("notes", &strings_json(&explanation.notes))
+                    .raw(
+                        "notes",
+                        &array(&explanation.notes, |out, s| write_escaped(out, s)),
+                    )
                     .raw("decisions", &decisions_json(&explanation));
             });
         }
-        self.explanations.push((epoch, at, explanation.clone()));
-        Some(explanation)
+        self.explanations.push((epoch, at, explanation));
     }
 
     /// One `window` recorder line: per-executor load estimates, per-node
@@ -288,23 +300,14 @@ impl TStormSystem {
         let mut loads: Vec<(ExecutorId, tstorm_types::Mhz)> =
             self.monitor.db().executor_loads().into_iter().collect();
         loads.sort_by_key(|(e, _)| *e);
-        let mut executors = String::from("[");
-        for (i, (exec, load)) in loads.iter().enumerate() {
-            if i > 0 {
-                executors.push(',');
-            }
+        let executors = array(loads, |out, (exec, load)| {
             let mut o = ObjectWriter::new();
             o.str("id", &exec.to_string()).f64("mhz", load.get());
-            executors.push_str(&o.finish());
-        }
-        executors.push(']');
+            out.push_str(&o.finish());
+        });
 
         let utilisations = self.node_utilisations();
-        let mut nodes = String::from("[");
-        for (i, node) in self.cluster.nodes().iter().enumerate() {
-            if i > 0 {
-                nodes.push(',');
-            }
+        let nodes = array(self.cluster.nodes(), |out, node| {
             let cpu = utilisations
                 .iter()
                 .find(|(n, _)| *n == node.id.index())
@@ -313,60 +316,43 @@ impl TStormSystem {
             o.str("id", &node.id.to_string())
                 .f64("cpu", cpu)
                 .u64("nic_tx_bytes", counters.node_tx_bytes(node.id));
-            nodes.push_str(&o.finish());
-        }
-        nodes.push(']');
+            out.push_str(&o.finish());
+        });
 
         let mut depths = self.sim.queue_depths();
         depths.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         depths.truncate(TOP_K);
-        let mut queues = String::from("[");
-        for (i, (exec, depth)) in depths.iter().enumerate() {
-            if i > 0 {
-                queues.push(',');
-            }
+        let queues = array(depths, |out, (exec, depth)| {
             let mut o = ObjectWriter::new();
-            o.str("id", &exec.to_string()).u64("depth", *depth as u64);
-            queues.push_str(&o.finish());
-        }
-        queues.push(']');
+            o.str("id", &exec.to_string()).u64("depth", depth as u64);
+            out.push_str(&o.finish());
+        });
 
         let mut heavy: Vec<(ExecutorId, ExecutorId, u64)> = counters.pair_tuples().collect();
         heavy.sort_by(|a, b| b.2.cmp(&a.2).then((a.0, a.1).cmp(&(b.0, b.1))));
         heavy.truncate(TOP_K);
-        let mut pairs = String::from("[");
-        for (i, (from, to, tuples)) in heavy.iter().enumerate() {
-            if i > 0 {
-                pairs.push(',');
-            }
+        let pairs = array(heavy, |out, (from, to, tuples)| {
             let mut o = ObjectWriter::new();
             o.str("from", &from.to_string())
                 .str("to", &to.to_string())
-                .u64("tuples", *tuples);
-            pairs.push_str(&o.finish());
-        }
-        pairs.push(']');
+                .u64("tuples", tuples);
+            out.push_str(&o.finish());
+        });
 
         // Nodes where Nimbus's heartbeat-derived belief contradicts the
         // simulator's ground truth, in either direction.
-        let mut diverged = String::from("[");
-        let mut any = false;
-        for node in self.cluster.nodes() {
+        let diverged_nodes = self.cluster.nodes().iter().filter_map(|node| {
             let believed_dead = self.nimbus.is_declared_dead(node.id);
             let truly_live = self.sim.cluster().is_node_live(node.id);
-            if believed_dead == truly_live {
-                if any {
-                    diverged.push(',');
-                }
-                any = true;
-                let mut o = ObjectWriter::new();
-                o.str("id", &node.id.to_string())
-                    .str("belief", if believed_dead { "dead" } else { "alive" })
-                    .str("truth", if truly_live { "alive" } else { "dead" });
-                diverged.push_str(&o.finish());
-            }
-        }
-        diverged.push(']');
+            (believed_dead == truly_live).then_some((node.id, believed_dead))
+        });
+        let diverged = array(diverged_nodes, |out, (id, believed_dead)| {
+            let mut o = ObjectWriter::new();
+            o.str("id", &id.to_string())
+                .str("belief", if believed_dead { "dead" } else { "alive" })
+                .str("truth", if believed_dead { "alive" } else { "dead" });
+            out.push_str(&o.finish());
+        });
 
         let queue_high_water = self.sim.queue_high_water() as u64;
         if let Some(recorder) = self.recorder.as_mut() {
@@ -419,14 +405,8 @@ impl TStormSystem {
         if self.started {
             return Ok(());
         }
-        let mut initial: Box<dyn Scheduler> = match self.config.mode {
-            SystemMode::StormDefault => Box::new(RoundRobinScheduler::storm_default()),
-            SystemMode::TStorm => Box::new(RoundRobinScheduler::tstorm_initial()),
-        };
-        initial.set_explain(self.explain);
-        let input = self.scheduling_input();
-        let assignment = initial.schedule(&input)?;
-        self.record_explanation(0, initial.take_explanation());
+        let (assignment, explanation) = self.initial_schedule()?;
+        self.record_explanation(0, explanation);
         self.sim.apply_assignment(&assignment);
         self.started = true;
         Ok(())
@@ -470,7 +450,7 @@ impl TStormSystem {
             }
             if tstorm {
                 if now >= self.next_generate {
-                    self.generate(false)?;
+                    self.solve(Cause::Periodic)?;
                     self.next_generate += self.config.generation_period;
                 }
                 if now >= self.next_fetch {
@@ -529,13 +509,12 @@ impl TStormSystem {
                             node: node.index(),
                             epoch,
                         });
-                    let assignment = self
+                    let installed = self
                         .nimbus
                         .cluster_assignment()
-                        .expect("a non-zero epoch implies an installed assignment")
-                        .assignment
-                        .clone();
-                    self.sim.apply_assignment_for_node(node, &assignment);
+                        .expect("a non-zero epoch implies an installed assignment");
+                    self.sim
+                        .apply_assignment_for_node(node, &installed.assignment);
                     self.observer.emit_with(now, || TraceEvent::EpochApplied {
                         node: node.index(),
                         epoch,
@@ -611,62 +590,67 @@ impl TStormSystem {
         }
 
         self.sweep_liveness()?;
-
-        if self.config.mode == SystemMode::TStorm {
-            let cooled_down = self
-                .last_overload_generate
-                .is_none_or(|t| self.sim.now() >= t + OVERLOAD_COOLDOWN);
-            if cooled_down {
-                let report = self.detector.inspect(
-                    self.monitor.db(),
-                    &self.cluster,
-                    self.sim.current_assignment(),
-                    failures,
-                );
-                if report.is_overloaded() {
-                    self.overload_events += 1;
-                    self.last_overload_generate = Some(self.sim.now());
-                    self.timeline.push(ControlEvent::OverloadDetected {
-                        at: self.sim.now(),
-                        nodes: report.cpu_overloaded.clone(),
-                        failures: report.recent_failures,
-                    });
-                    if self.observer.is_enabled() {
-                        let at = self.sim.now();
-                        let utilisations = self.node_utilisations();
-                        for node in &report.cpu_overloaded {
-                            let node = node.index();
-                            let utilisation = utilisations
-                                .iter()
-                                .find(|(n, _)| *n == node)
-                                .map_or(0.0, |(_, u)| *u);
-                            self.observer
-                                .emit_with(at, || TraceEvent::OverloadDetected {
-                                    node,
-                                    utilisation,
-                                });
-                        }
-                        self.observer.metrics(|m| {
-                            m.inc_counter(
-                                "tstorm_overload_events_total",
-                                "Overload detections that triggered the fast path",
-                                &[],
-                                1,
-                            );
-                        });
-                    }
-                    self.generate(true)?;
-                }
-            }
+        if self.config.mode == SystemMode::TStorm && self.detect_overload(failures) {
+            self.solve(Cause::Overload)?;
         }
-        self.recover_lost_executors()?;
-        Ok(())
+        self.recover_lost_executors()
+    }
+
+    /// The overload fast path's trigger (T-Storm only): outside the
+    /// cooldown, inspects the estimates under the running assignment and
+    /// records a detection. A detection starts the cooldown even while
+    /// Nimbus is down and the solve it asks for is suppressed.
+    fn detect_overload(&mut self, failures: u64) -> bool {
+        let now = self.sim.now();
+        if self
+            .last_overload_generate
+            .is_some_and(|t| now < t + OVERLOAD_COOLDOWN)
+        {
+            return false;
+        }
+        let report = OverloadDetector.inspect(
+            self.monitor.db(),
+            &self.cluster,
+            self.sim.current_assignment(),
+            failures,
+        );
+        if !report.is_overloaded() {
+            return false;
+        }
+        self.overload_events += 1;
+        self.last_overload_generate = Some(now);
+        if self.observer.is_enabled() {
+            let utilisations = self.node_utilisations();
+            for node in &report.cpu_overloaded {
+                let node = node.index();
+                let utilisation = utilisations
+                    .iter()
+                    .find(|(n, _)| *n == node)
+                    .map_or(0.0, |(_, u)| *u);
+                self.observer
+                    .emit_with(now, || TraceEvent::OverloadDetected { node, utilisation });
+            }
+            self.observer.metrics(|m| {
+                m.inc_counter(
+                    "tstorm_overload_events_total",
+                    "Overload detections that triggered the fast path",
+                    &[],
+                    1,
+                );
+            });
+        }
+        self.timeline.push(ControlEvent::OverloadDetected {
+            at: now,
+            nodes: report.cpu_overloaded,
+            failures: report.recent_failures,
+        });
+        true
     }
 
     /// Nimbus's liveness sweep: any node silent for
     /// [`HEARTBEAT_MISS_THRESHOLD`](crate::nimbus::HEARTBEAT_MISS_THRESHOLD)
-    /// heartbeat periods is declared dead and a forced generation moves
-    /// its executors to the surviving nodes. The declaration is new
+    /// heartbeat periods is declared dead and a solve moves its
+    /// executors to the surviving nodes. The declaration is new
     /// information, so it bypasses the recovery cooldown. A crashed
     /// Nimbus declares nothing — liveness freezes for the duration of
     /// the outage.
@@ -702,19 +686,14 @@ impl TStormSystem {
             });
         }
         self.last_recovery_generate = Some(now);
-        match self.config.mode {
-            SystemMode::TStorm => self.generate(true)?,
-            SystemMode::StormDefault => self.storm_reschedule()?,
-        }
-        Ok(())
+        self.solve(Cause::Liveness)
     }
 
     /// Crash recovery: executors whose worker died under a fault plan
     /// sit unassigned until the control plane re-places them. Nimbus
     /// notices at the next monitoring round and re-runs the *installed*
     /// scheduler — whatever a hot swap may have made current — against
-    /// its believed-live cluster, rolling the result out through the
-    /// store (T-Storm) or directly (plain Storm, which has no store).
+    /// its believed-live cluster.
     fn recover_lost_executors(&mut self) -> Result<()> {
         let unplaced = self.sim.unplaced_executors();
         if unplaced == 0 {
@@ -728,30 +707,13 @@ impl TStormSystem {
         }
         // Space retries so one crash does not force a regeneration every
         // tick while workers start and the backlog drains.
-        let cooled_down = self
+        if self
             .last_recovery_generate
-            .is_none_or(|t| self.sim.now() >= t + OVERLOAD_COOLDOWN);
-        if !cooled_down {
+            .is_some_and(|t| self.sim.now() < t + OVERLOAD_COOLDOWN)
+        {
             return Ok(());
         }
-        if self.sim.nimbus_down() {
-            self.timeline.push(ControlEvent::NimbusSuppressed {
-                at: self.sim.now(),
-                action: "recovery".to_owned(),
-            });
-            return Ok(());
-        }
-        self.recovery_events += 1;
-        self.last_recovery_generate = Some(self.sim.now());
-        self.timeline.push(ControlEvent::RecoveryTriggered {
-            at: self.sim.now(),
-            unplaced,
-        });
-        match self.config.mode {
-            SystemMode::TStorm => self.generate(true)?,
-            SystemMode::StormDefault => self.storm_reschedule()?,
-        }
-        Ok(())
+        self.solve(Cause::Recovery { unplaced })
     }
 
     /// Whether a published schedule has not yet reached every supervisor
@@ -769,102 +731,73 @@ impl TStormSystem {
         })
     }
 
-    /// Plain Storm's recovery path: re-run the installed scheduler and
-    /// hand the result straight to the supervisors (no store, no
-    /// epochs — Storm 0.8 rewrites cluster state atomically).
-    fn storm_reschedule(&mut self) -> Result<()> {
-        let input = self.scheduling_input();
-        let assignment = self.nimbus.schedule(&input)?;
-        let explanation = self.nimbus.take_explanation();
-        if !self.sim.current_assignment().diff(&assignment).is_empty() {
-            self.record_explanation(0, explanation);
-            self.sim.submit_assignment(&assignment);
-            self.prune_stale_estimates();
-        }
-        Ok(())
-    }
-
-    /// One schedule-generator round: read estimates, run the (swappable)
-    /// algorithm, and publish the result to the store if it is a genuine
-    /// improvement (or `force` is set, as during overload recovery).
-    /// While Nimbus is down nothing is generated at all.
-    fn generate(&mut self, force: bool) -> Result<()> {
+    /// The schedule generator's one entry: re-runs the installed
+    /// algorithm on the current estimates, whatever the `cause`, and
+    /// lands a changed result for the mode. Under T-Storm it is
+    /// published through the store, and a periodic solve must pass the
+    /// publish hysteresis; plain Storm (no store, no epochs — Storm 0.8
+    /// rewrites cluster state atomically) hands it straight to the
+    /// supervisors. While Nimbus is down nothing is solved.
+    fn solve(&mut self, cause: Cause) -> Result<()> {
+        let now = self.sim.now();
         if self.sim.nimbus_down() {
+            // A liveness sweep never gets here: a crashed Nimbus declares
+            // nobody dead.
+            let action = match cause {
+                Cause::Recovery { .. } => "recovery",
+                _ => "generation",
+            };
             self.timeline.push(ControlEvent::NimbusSuppressed {
-                at: self.sim.now(),
-                action: "generation".to_owned(),
+                at: now,
+                action: action.to_owned(),
             });
             return Ok(());
+        }
+        if let Cause::Recovery { unplaced } = cause {
+            self.recovery_events += 1;
+            self.last_recovery_generate = Some(now);
+            self.timeline
+                .push(ControlEvent::RecoveryTriggered { at: now, unplaced });
         }
         if self.monitor.db().windows_ingested() == 0 {
             return Ok(()); // no runtime information yet
         }
+        let tstorm = self.config.mode == SystemMode::TStorm;
         let input = self.scheduling_input();
-        let sched_started = self.observer.is_enabled().then(std::time::Instant::now);
+        let started = (tstorm && self.observer.is_enabled()).then(std::time::Instant::now);
         let assignment = self.nimbus.schedule(&input)?;
         let explanation = self.nimbus.take_explanation();
-        let elapsed_us = sched_started.map(|t| t.elapsed().as_micros() as u64);
-        if let Some(us) = elapsed_us {
-            self.observer.metrics(|m| {
-                m.observe(
-                    "tstorm_schedule_runtime_us",
-                    "Wall-clock runtime of one scheduler invocation",
-                    &[("algorithm", &self.nimbus.scheduler_name())],
-                    us as f64,
-                );
-            });
-        }
-        if self.observer.is_enabled() {
-            let quality = AssignmentQuality::evaluate(&assignment, &input);
-            let at = self.sim.now();
-            let algorithm = self.nimbus.scheduler_name();
-            self.observer
-                .emit_with(at, || TraceEvent::ScheduleGenerated {
-                    algorithm,
-                    inter_node_traffic: quality.inter_node_traffic,
-                    inter_process_traffic: quality.inter_process_traffic,
-                });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_schedules_generated_total",
-                    "Scheduler invocations that produced a candidate schedule",
-                    &[],
-                    1,
-                );
-            });
+        if let Some(started) = started {
+            self.observe_solve(started, &assignment, &input);
         }
         // Publish only real changes; re-applying the current schedule
         // would needlessly restart workers.
         if self.sim.current_assignment().diff(&assignment).is_empty() {
             return Ok(());
         }
+        if !tstorm {
+            self.record_explanation(0, explanation);
+            self.sim.submit_assignment(&assignment);
+            self.prune_stale_estimates();
+            return Ok(());
+        }
         // Nor publish again what still waits unfetched in the store: a
-        // death declaration's forced solve and the overload fast path's
-        // can solve the same input at the same instant.
+        // death declaration's solve and the overload fast path's can
+        // solve the same input at the same instant.
         if self.store.holds_unfetched(&assignment) {
             return Ok(());
         }
-        if !force && !self.is_improvement(&assignment, &input) {
+        let quality = AssignmentQuality::evaluate(&assignment, &input);
+        if cause == Cause::Periodic && !self.is_improvement(&quality, &input) {
             self.timeline.push(ControlEvent::ScheduleSuppressed {
-                at: self.sim.now(),
+                at: now,
                 reason: "inter-node traffic improvement below threshold".to_owned(),
             });
             return Ok(());
         }
-        let id = AssignmentId::from_timestamp_micros(self.sim.now().as_micros());
-        let quality = AssignmentQuality::evaluate(&assignment, &input);
-        let epoch = self.store.latest_epoch() + 1;
-        let explanation = self.record_explanation(epoch, explanation);
-        let epoch = self.store.publish(
-            id,
-            assignment,
-            self.sim.now(),
-            self.nimbus.scheduler_name(),
-            explanation,
-        );
-        self.nimbus.note_publish();
+        let (id, epoch) = self.publish(assignment, explanation);
         self.timeline.push(ControlEvent::SchedulePublished {
-            at: self.sim.now(),
+            at: now,
             id,
             epoch,
             nodes_used: quality.nodes_used,
@@ -874,14 +807,65 @@ impl TStormSystem {
         Ok(())
     }
 
+    /// Reports one T-Storm solve to the observer: its wall-clock
+    /// runtime since `started`, and the candidate's estimated traffic.
+    fn observe_solve(
+        &self,
+        started: std::time::Instant,
+        assignment: &Assignment,
+        input: &SchedulingInput,
+    ) {
+        let us = started.elapsed().as_micros() as u64;
+        let algorithm = self.nimbus.scheduler_name();
+        self.observer.metrics(|m| {
+            m.observe(
+                "tstorm_schedule_runtime_us",
+                "Wall-clock runtime of one scheduler invocation",
+                &[("algorithm", algorithm)],
+                us as f64,
+            );
+        });
+        let quality = AssignmentQuality::evaluate(assignment, input);
+        self.observer
+            .emit_with(self.sim.now(), || TraceEvent::ScheduleGenerated {
+                algorithm: algorithm.to_owned(),
+                inter_node_traffic: quality.inter_node_traffic,
+                inter_process_traffic: quality.inter_process_traffic,
+            });
+        self.observer.metrics(|m| {
+            m.inc_counter(
+                "tstorm_schedules_generated_total",
+                "Scheduler invocations that produced a candidate schedule",
+                &[],
+                1,
+            );
+        });
+    }
+
+    /// Publishes `assignment` to the store under the next epoch, keeps
+    /// its explanation under that epoch, and lets Nimbus note that nodes
+    /// under a death declaration have had executors moved away. Returns
+    /// the publication's id and epoch.
+    fn publish(
+        &mut self,
+        assignment: Assignment,
+        explanation: Option<ScheduleExplanation>,
+    ) -> (AssignmentId, u64) {
+        let id = AssignmentId::from_timestamp_micros(self.sim.now().as_micros());
+        let epoch = self.store.publish(id, assignment);
+        self.record_explanation(epoch, explanation);
+        self.nimbus.note_publish();
+        (id, epoch)
+    }
+
     /// Hysteresis: small estimate fluctuations flip the greedy's choices,
     /// and every published schedule costs a rollout (worker restarts,
     /// spout halt). A periodic schedule is published only when it cuts
     /// estimated inter-node traffic by [`IMPROVEMENT_THRESHOLD`], or frees
-    /// worker nodes without increasing traffic.
-    fn is_improvement(&self, candidate: &Assignment, input: &SchedulingInput) -> bool {
+    /// worker nodes without increasing traffic. `new` is the candidate's
+    /// quality on `input`.
+    fn is_improvement(&self, new: &AssignmentQuality, input: &SchedulingInput) -> bool {
         let current = AssignmentQuality::evaluate(self.sim.current_assignment(), input);
-        let new = AssignmentQuality::evaluate(candidate, input);
         let traffic_cut =
             current.inter_node_traffic - current.inter_node_traffic * IMPROVEMENT_THRESHOLD;
         if new.inter_node_traffic < traffic_cut {
@@ -898,12 +882,12 @@ impl TStormSystem {
             return;
         }
         if let Some(fetched) = self.store.fetch() {
-            self.nimbus.install(fetched.versioned.clone());
             self.timeline.push(ControlEvent::ScheduleFetched {
                 at: self.sim.now(),
                 id: fetched.id,
                 epoch: fetched.versioned.epoch,
             });
+            self.nimbus.install(fetched.versioned);
             self.prune_stale_estimates();
         }
     }
@@ -961,6 +945,19 @@ impl TStormSystem {
             .with_component_edges(self.component_edges.clone())
     }
 
+    /// Runs this mode's initial scheduler on the current input: Storm's
+    /// default, or T-Storm's modified default of Section IV-C. Returns
+    /// the assignment and its decision records (when explain is on).
+    fn initial_schedule(&self) -> Result<(Assignment, Option<ScheduleExplanation>)> {
+        let mut initial = match self.config.mode {
+            SystemMode::StormDefault => RoundRobinScheduler::storm_default(),
+            SystemMode::TStorm => RoundRobinScheduler::tstorm_initial(),
+        };
+        initial.set_explain(self.nimbus.explains());
+        let assignment = initial.schedule(&self.scheduling_input())?;
+        Ok((assignment, initial.take_explanation()))
+    }
+
     /// Storm's `rebalance` command: changes a topology's requested
     /// worker count and redistributes every topology with the
     /// mode-appropriate initial scheduler. T-Storm itself uses this to
@@ -982,25 +979,14 @@ impl TStormSystem {
             ));
         }
         self.workers_requested.insert(handle.id, workers);
-        let mut initial: Box<dyn Scheduler> = match self.config.mode {
-            SystemMode::StormDefault => Box::new(RoundRobinScheduler::storm_default()),
-            SystemMode::TStorm => Box::new(RoundRobinScheduler::tstorm_initial()),
-        };
-        initial.set_explain(self.explain);
-        let input = self.scheduling_input();
-        let assignment = initial.schedule(&input)?;
+        let (assignment, explanation) = self.initial_schedule()?;
         match self.config.mode {
             SystemMode::TStorm => {
-                let id = AssignmentId::from_timestamp_micros(self.sim.now().as_micros());
-                let epoch = self.store.latest_epoch() + 1;
-                let explanation = self.record_explanation(epoch, initial.take_explanation());
-                self.store
-                    .publish(id, assignment, self.sim.now(), "rebalance", explanation);
-                self.nimbus.note_publish();
+                self.publish(assignment, explanation);
             }
             SystemMode::StormDefault => {
                 if !self.sim.current_assignment().diff(&assignment).is_empty() {
-                    self.record_explanation(0, initial.take_explanation());
+                    self.record_explanation(0, explanation);
                     self.sim.submit_assignment(&assignment);
                 }
             }
@@ -1095,7 +1081,7 @@ impl TStormSystem {
 
     /// The name of the scheduling algorithm currently installed.
     #[must_use]
-    pub fn scheduler_name(&self) -> String {
+    pub fn scheduler_name(&self) -> &'static str {
         self.nimbus.scheduler_name()
     }
 
@@ -1124,7 +1110,8 @@ impl TStormSystem {
         &self.nimbus
     }
 
-    /// Read access to the schedule store (epochs, fetch watermark).
+    /// Read access to the schedule store (epochs, the unfetched
+    /// publication).
     #[must_use]
     pub fn schedule_store(&self) -> &ScheduleStore {
         &self.store
@@ -1213,26 +1200,9 @@ fn control_event_kind(event: &ControlEvent) -> &'static str {
     }
 }
 
-/// A JSON array of strings.
-fn strings_json(items: &[String]) -> String {
-    let mut out = String::from("[");
-    for (i, s) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_escaped(&mut out, s);
-    }
-    out.push(']');
-    out
-}
-
 /// A JSON array of one object per placement decision.
 fn decisions_json(explanation: &ScheduleExplanation) -> String {
-    let mut out = String::from("[");
-    for (i, d) in explanation.decisions.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    array(&explanation.decisions, |out, d| {
         let mut o = ObjectWriter::new();
         o.str("executor", &d.executor.to_string())
             .str("slot", &d.slot.to_string())
@@ -1245,7 +1215,5 @@ fn decisions_json(explanation: &ScheduleExplanation) -> String {
             o.str("relaxation", r);
         }
         out.push_str(&o.finish());
-    }
-    out.push(']');
-    out
+    })
 }

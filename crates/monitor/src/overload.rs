@@ -4,9 +4,11 @@
 //! detect it and will then calculate a new schedule … to mitigate
 //! overloading" (Section IV-C). Detection combines two signals:
 //!
-//! * **CPU**: a node's estimated workload reaches `threshold × C_k`;
-//! * **failures**: tuples timed out during the last window — the symptom
-//!   Fig. 3 shows when bolt executors cannot keep up.
+//! * **CPU**: a node's estimated workload reaches
+//!   [`OVERLOAD_CPU_THRESHOLD`]` × C_k`;
+//! * **failures**: at least [`OVERLOAD_FAILURE_THRESHOLD`] tuples timed
+//!   out during the last window — the symptom Fig. 3 shows when bolt
+//!   executors cannot keep up.
 
 use crate::statsdb::StatsDb;
 use serde::{Deserialize, Serialize};
@@ -38,44 +40,12 @@ impl OverloadReport {
 }
 
 /// Detects overloaded worker nodes from the stats database and the
-/// failure counter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct OverloadDetector {
-    /// Fraction of node capacity treated as overload (default
-    /// [`OVERLOAD_CPU_THRESHOLD`]).
-    pub cpu_threshold: f64,
-    /// Minimum failures per window to raise the failure signal
-    /// (default [`OVERLOAD_FAILURE_THRESHOLD`]).
-    pub failure_threshold: u64,
-}
-
-impl Default for OverloadDetector {
-    fn default() -> Self {
-        Self {
-            cpu_threshold: OVERLOAD_CPU_THRESHOLD,
-            failure_threshold: OVERLOAD_FAILURE_THRESHOLD,
-        }
-    }
-}
+/// failure counter, at [`OVERLOAD_CPU_THRESHOLD`] and
+/// [`OVERLOAD_FAILURE_THRESHOLD`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct OverloadDetector;
 
 impl OverloadDetector {
-    /// Creates a detector with explicit thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpu_threshold` is not positive.
-    #[must_use]
-    pub fn new(cpu_threshold: f64, failure_threshold: u64) -> Self {
-        assert!(
-            cpu_threshold > 0.0,
-            "cpu threshold must be positive, got {cpu_threshold}"
-        );
-        Self {
-            cpu_threshold,
-            failure_threshold,
-        }
-    }
-
     /// Inspects the current estimates under the active assignment.
     #[must_use]
     pub fn inspect(
@@ -99,14 +69,15 @@ impl OverloadDetector {
             .into_iter()
             .enumerate()
             .filter(|(node, load)| {
-                load.ratio(cluster.node(NodeId::new(*node as u32)).capacity) >= self.cpu_threshold
+                load.ratio(cluster.node(NodeId::new(*node as u32)).capacity)
+                    >= OVERLOAD_CPU_THRESHOLD
             })
             .map(|(node, _)| NodeId::new(node as u32))
             .collect();
 
         OverloadReport {
             cpu_overloaded,
-            recent_failures: if failures_in_window >= self.failure_threshold {
+            recent_failures: if failures_in_window >= OVERLOAD_FAILURE_THRESHOLD {
                 failures_in_window
             } else {
                 0
@@ -145,8 +116,7 @@ mod tests {
         let db = db_with_load(&[(0, 700.0), (1, 400.0)]);
         // Both on node 0 => 1100 MHz > 95% of 1000.
         let a = assignment(&[(0, 0), (1, 0)]);
-        let det = OverloadDetector::default();
-        let report = det.inspect(&db, &cluster, &a, 0);
+        let report = OverloadDetector.inspect(&db, &cluster, &a, 0);
         assert_eq!(report.cpu_overloaded, vec![NodeId::new(0)]);
         assert!(report.is_overloaded());
     }
@@ -156,8 +126,7 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(2, 2, Mhz::new(1000.0)).unwrap();
         let db = db_with_load(&[(0, 700.0), (1, 400.0)]);
         let a = assignment(&[(0, 0), (1, 2)]);
-        let det = OverloadDetector::default();
-        let report = det.inspect(&db, &cluster, &a, 0);
+        let report = OverloadDetector.inspect(&db, &cluster, &a, 0);
         assert!(report.cpu_overloaded.is_empty());
         assert!(!report.is_overloaded());
     }
@@ -167,38 +136,38 @@ mod tests {
         let cluster = ClusterSpec::homogeneous(1, 1, Mhz::new(1000.0)).unwrap();
         let db = db_with_load(&[]);
         let a = assignment(&[]);
-        let det = OverloadDetector::default();
-        let report = det.inspect(&db, &cluster, &a, 12);
+        let report = OverloadDetector.inspect(&db, &cluster, &a, 12);
         assert_eq!(report.recent_failures, 12);
         assert!(report.is_overloaded());
     }
 
     #[test]
-    fn failure_threshold_filters_noise() {
+    fn cpu_signal_fires_at_the_threshold_and_not_below() {
+        let cluster = ClusterSpec::homogeneous(1, 1, Mhz::new(1000.0)).unwrap();
+        let a = assignment(&[(0, 0)]);
+        let at = db_with_load(&[(0, 950.0)]);
+        assert_eq!(
+            OverloadDetector
+                .inspect(&at, &cluster, &a, 0)
+                .cpu_overloaded,
+            vec![NodeId::new(0)]
+        );
+        let below = db_with_load(&[(0, 949.0)]);
+        assert!(!OverloadDetector
+            .inspect(&below, &cluster, &a, 0)
+            .is_overloaded());
+    }
+
+    #[test]
+    fn one_failure_raises_the_signal_and_zero_does_not() {
         let cluster = ClusterSpec::homogeneous(1, 1, Mhz::new(1000.0)).unwrap();
         let db = db_with_load(&[]);
         let a = assignment(&[]);
-        let det = OverloadDetector::new(0.95, 10);
-        assert!(!det.inspect(&db, &cluster, &a, 5).is_overloaded());
-        assert!(det.inspect(&db, &cluster, &a, 10).is_overloaded());
-    }
-
-    #[test]
-    fn custom_cpu_threshold() {
-        let cluster = ClusterSpec::homogeneous(1, 1, Mhz::new(1000.0)).unwrap();
-        let db = db_with_load(&[(0, 600.0)]);
-        let a = assignment(&[(0, 0)]);
-        assert!(!OverloadDetector::new(0.8, 1)
+        let one = OverloadDetector.inspect(&db, &cluster, &a, 1);
+        assert_eq!(one.recent_failures, 1);
+        assert!(one.is_overloaded());
+        assert!(!OverloadDetector
             .inspect(&db, &cluster, &a, 0)
             .is_overloaded());
-        assert!(OverloadDetector::new(0.5, 1)
-            .inspect(&db, &cluster, &a, 0)
-            .is_overloaded());
-    }
-
-    #[test]
-    #[should_panic(expected = "cpu threshold must be positive")]
-    fn invalid_threshold_panics() {
-        let _ = OverloadDetector::new(0.0, 1);
     }
 }

@@ -15,10 +15,11 @@
 //! * [`AnielloOnlineScheduler`] / [`AnielloOfflineScheduler`] — the
 //!   DEBS'13 adaptive schedulers (the paper's reference 11) it compares against.
 //!
-//! All schedulers implement the object-safe [`Scheduler`] trait, and
-//! [`SwappableScheduler`] + [`SchedulerRegistry`] provide the hot-swap
+//! All schedulers implement the object-safe [`Scheduler`] trait, and the
+//! [`SchedulerRegistry`] of named factories provides the hot-swap
 //! mechanism T-Storm exposes ("the current scheduling algorithm can be
-//! replaced by a new one at runtime without shutting down the cluster").
+//! replaced by a new one at runtime without shutting down the cluster"):
+//! Nimbus swaps its boxed algorithm for a fresh one from the registry.
 //!
 //! # Example
 //!
@@ -68,7 +69,7 @@ pub use local_search::LocalSearchScheduler;
 pub use optimal::{optimal_assignment, optimality_gap};
 pub use problem::{ExecutorInfo, SchedParams, SchedulingInput, TrafficMatrix};
 pub use quality::AssignmentQuality;
-pub use registry::{SchedulerRegistry, SwappableScheduler};
+pub use registry::SchedulerRegistry;
 pub use roundrobin::RoundRobinScheduler;
 pub use tstorm::TStormScheduler;
 
@@ -77,8 +78,8 @@ use tstorm_types::Result;
 
 /// An executor-to-slot scheduling algorithm.
 ///
-/// Object-safe so algorithms can be hot-swapped at runtime behind a
-/// [`SwappableScheduler`].
+/// Object-safe so algorithms can be hot-swapped at runtime: Nimbus holds
+/// the active one as a `Box<dyn Scheduler>`.
 pub trait Scheduler: Send {
     /// Short stable name used in the registry and in reports.
     fn name(&self) -> &'static str;

@@ -20,33 +20,28 @@ use std::collections::HashMap;
 use tstorm_cluster::Assignment;
 use tstorm_types::{ExecutorId, Mhz, NodeId, Result, SlotId, TopologyId};
 
+/// Full passes over the executor set the refinement may make;
+/// convergence is typically 1–3.
+const MAX_PASSES: u32 = 8;
+
 /// Algorithm 1 followed by single-executor relocation hill-climbing.
 #[derive(Debug, Clone)]
 pub struct LocalSearchScheduler {
-    max_passes: u32,
     last_improvement: f64,
     explain: bool,
     explanation: Option<ScheduleExplanation>,
 }
 
 impl LocalSearchScheduler {
-    /// Creates the scheduler with the default pass budget (8 full passes
-    /// over the executor set — convergence is typically 1–3).
+    /// Creates the scheduler with a budget of 8 full passes over the
+    /// executor set.
     #[must_use]
     pub fn new() -> Self {
         Self {
-            max_passes: 8,
             last_improvement: 0.0,
             explain: false,
             explanation: None,
         }
-    }
-
-    /// Overrides the pass budget.
-    #[must_use]
-    pub fn with_max_passes(mut self, passes: u32) -> Self {
-        self.max_passes = passes.max(1);
-        self
     }
 
     /// Inter-node traffic removed by the refinement in the most recent
@@ -205,7 +200,7 @@ impl Scheduler for LocalSearchScheduler {
 
         // The traffic between the executor in hand and each node.
         let mut by_node = vec![0.0; input.cluster.num_nodes()];
-        for _pass in 0..self.max_passes {
+        for _pass in 0..MAX_PASSES {
             let mut improved = false;
             for &pos in &order {
                 let exec = id(pos);
@@ -385,13 +380,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pass_budget_is_respected() {
-        let input = ring_input(16, 4, 1.0);
-        let mut s = LocalSearchScheduler::new().with_max_passes(1);
-        assert!(s.schedule(&input).is_ok());
-    }
-
     /// The occupancy view the scheduler used before it read adjacency
     /// rows: affinity from a whole-matrix `neighbours_of` scan per
     /// (executor, node), and an executor's slot found by scanning every
@@ -490,7 +478,7 @@ mod tests {
                 .then(a.cmp(b))
         });
         let mut improvement = 0.0;
-        for _pass in 0..LocalSearchScheduler::new().max_passes {
+        for _pass in 0..MAX_PASSES {
             let mut improved = false;
             for &exec in &order {
                 let Some(cur_slot) = assignment.slot_of(exec) else {

@@ -4,27 +4,18 @@
 //! one at runtime without shutting down the cluster … the code of a new
 //! scheduling algorithm can be loaded to the schedule generator without
 //! changing or stopping anything in Storm" (Section IV-C). In-process, the
-//! equivalent is:
-//!
-//! * [`SchedulerRegistry`] — a name → factory map ("loading code");
-//! * [`SwappableScheduler`] — a shared, lockable scheduler handle the
-//!   schedule generator calls through; [`SwappableScheduler::swap`] and
-//!   [`SwappableScheduler::swap_from_registry`] replace the algorithm
-//!   between (or even during) scheduling rounds without touching the rest
-//!   of the system.
+//! equivalent is the [`SchedulerRegistry`], a name → factory map
+//! ("loading code"). Nimbus
+//! owns the active algorithm as a `Box<dyn Scheduler>` and replaces it
+//! with a fresh instance from the registry between scheduling rounds,
+//! without touching the rest of the system.
 
 use crate::aniello::{AnielloOfflineScheduler, AnielloOnlineScheduler};
-use crate::explain::ScheduleExplanation;
 use crate::local_search::LocalSearchScheduler;
-use crate::problem::SchedulingInput;
 use crate::roundrobin::RoundRobinScheduler;
 use crate::tstorm::TStormScheduler;
 use crate::Scheduler;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::sync::{Mutex, PoisonError};
-use tstorm_cluster::Assignment;
 use tstorm_types::{Result, TStormError};
 
 type Factory = Box<dyn Fn() -> Box<dyn Scheduler> + Send + Sync>;
@@ -108,125 +99,10 @@ impl Default for SchedulerRegistry {
     }
 }
 
-/// A shared scheduler handle whose algorithm can be replaced at runtime.
-///
-/// Clones share the same underlying scheduler; swapping through any clone
-/// affects all of them — exactly the deployment shape of T-Storm's
-/// schedule generator, where an operator swaps the algorithm while the
-/// generator keeps running.
-#[derive(Clone)]
-pub struct SwappableScheduler {
-    inner: Arc<Mutex<Box<dyn Scheduler>>>,
-    current: Arc<Mutex<String>>,
-    /// Whether decision recording is on; survives [`Self::swap`] so an
-    /// operator-initiated algorithm change keeps producing explanations.
-    explain: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for SwappableScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwappableScheduler")
-            .field(
-                "current",
-                &*self.current.lock().unwrap_or_else(PoisonError::into_inner),
-            )
-            .finish()
-    }
-}
-
-impl SwappableScheduler {
-    /// Wraps an initial scheduler.
-    #[must_use]
-    pub fn new(scheduler: Box<dyn Scheduler>) -> Self {
-        let name = scheduler.name().to_owned();
-        Self {
-            inner: Arc::new(Mutex::new(scheduler)),
-            current: Arc::new(Mutex::new(name)),
-            explain: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Replaces the algorithm, carrying the explain flag over.
-    pub fn swap(&self, mut scheduler: Box<dyn Scheduler>) {
-        scheduler.set_explain(self.explain.load(Ordering::Relaxed));
-        *self.current.lock().unwrap_or_else(PoisonError::into_inner) = scheduler.name().to_owned();
-        *self.inner.lock().unwrap_or_else(PoisonError::into_inner) = scheduler;
-    }
-
-    /// Replaces the algorithm with one created from a registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TStormError::UnknownScheduler`] for unregistered names.
-    pub fn swap_from_registry(&self, registry: &SchedulerRegistry, name: &str) -> Result<()> {
-        let scheduler = registry.create(name)?;
-        self.swap(scheduler);
-        Ok(())
-    }
-
-    /// The name of the algorithm currently installed.
-    #[must_use]
-    pub fn current_name(&self) -> String {
-        self.current
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Runs the installed algorithm on an input.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the installed scheduler's error.
-    pub fn schedule(&self, input: &SchedulingInput) -> Result<Assignment> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .schedule(input)
-    }
-
-    /// Turns decision recording on or off for the installed algorithm
-    /// (and any algorithm installed later via [`Self::swap`]).
-    pub fn set_explain_shared(&self, on: bool) {
-        self.explain.store(on, Ordering::Relaxed);
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_explain(on);
-    }
-
-    /// Takes the decision records of the most recent schedule call, if
-    /// the installed algorithm recorded any.
-    pub fn take_explanation_shared(&self) -> Option<ScheduleExplanation> {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take_explanation()
-    }
-}
-
-impl Scheduler for SwappableScheduler {
-    fn name(&self) -> &'static str {
-        "swappable"
-    }
-
-    fn schedule(&mut self, input: &SchedulingInput) -> Result<Assignment> {
-        SwappableScheduler::schedule(self, input)
-    }
-
-    fn set_explain(&mut self, on: bool) {
-        self.set_explain_shared(on);
-    }
-
-    fn take_explanation(&mut self) -> Option<ScheduleExplanation> {
-        self.take_explanation_shared()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{ExecutorInfo, SchedParams, TrafficMatrix};
+    use crate::problem::{ExecutorInfo, SchedParams, SchedulingInput, TrafficMatrix};
     use tstorm_cluster::ClusterSpec;
     use tstorm_types::{ComponentId, ExecutorId, Mhz, TopologyId};
 
@@ -312,55 +188,5 @@ mod tests {
         assert!(r.names().is_empty());
         r.register("mine", || Box::new(TStormScheduler::new()));
         assert!(r.create("mine").is_ok());
-    }
-
-    #[test]
-    fn swap_changes_algorithm_for_all_clones() {
-        let swappable = SwappableScheduler::new(Box::new(RoundRobinScheduler::storm_default()));
-        let clone = swappable.clone();
-        assert_eq!(clone.current_name(), "round-robin (storm default)");
-
-        let registry = SchedulerRegistry::with_builtins();
-        swappable
-            .swap_from_registry(&registry, "t-storm")
-            .expect("swap works");
-        assert_eq!(clone.current_name(), "t-storm");
-
-        // Both handles schedule through the new algorithm.
-        let input = input();
-        let a = clone.schedule(&input).expect("feasible");
-        assert_eq!(a.len(), 4);
-    }
-
-    #[test]
-    fn swappable_implements_scheduler_trait() {
-        let mut s: Box<dyn Scheduler> =
-            Box::new(SwappableScheduler::new(Box::new(TStormScheduler::new())));
-        assert_eq!(s.name(), "swappable");
-        assert!(s.schedule(&input()).is_ok());
-    }
-
-    #[test]
-    fn explain_flag_survives_swap() {
-        let swappable = SwappableScheduler::new(Box::new(RoundRobinScheduler::storm_default()));
-        swappable.set_explain_shared(true);
-        let registry = SchedulerRegistry::with_builtins();
-        swappable
-            .swap_from_registry(&registry, "t-storm")
-            .expect("swap works");
-        swappable.schedule(&input()).expect("feasible");
-        let ex = swappable
-            .take_explanation_shared()
-            .expect("explanation survives swap");
-        assert_eq!(ex.algorithm, "t-storm");
-        assert_eq!(ex.decisions.len(), 4);
-    }
-
-    #[test]
-    fn swap_unknown_name_fails_and_keeps_current() {
-        let swappable = SwappableScheduler::new(Box::new(TStormScheduler::new()));
-        let registry = SchedulerRegistry::with_builtins();
-        assert!(swappable.swap_from_registry(&registry, "bogus").is_err());
-        assert_eq!(swappable.current_name(), "t-storm");
     }
 }

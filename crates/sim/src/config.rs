@@ -152,14 +152,6 @@ impl SimConfig {
         self.seed = seed;
         self
     }
-
-    /// Builder-style transfer-batching threshold override. A value of
-    /// `0` is treated as `1` (batching disabled) by the engine.
-    #[must_use]
-    pub fn with_batch_size(mut self, batch_size: u32) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -184,9 +176,8 @@ mod tests {
 
     #[test]
     fn builders_override() {
-        let c = SimConfig::default().with_seed(7).with_batch_size(16);
+        let c = SimConfig::default().with_seed(7);
         assert_eq!(c.seed, 7);
-        assert_eq!(c.batch_size, 16);
     }
 
     #[test]

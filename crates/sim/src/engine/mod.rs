@@ -394,12 +394,6 @@ impl Simulation {
         self.spans.as_deref()
     }
 
-    /// True when span collection is enabled.
-    #[must_use]
-    pub fn spans_enabled(&self) -> bool {
-        self.spans.is_some()
-    }
-
     /// Submits a topology; executors are created but remain unassigned
     /// until an assignment is applied. The factory is called once per
     /// executor with the component spec and the executor's index within

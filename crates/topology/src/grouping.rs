@@ -34,13 +34,6 @@ impl Grouping {
         Grouping::Fields(names.iter().map(|s| s.as_ref().to_owned()).collect())
     }
 
-    /// True if this grouping fans a single input tuple out to more than one
-    /// consumer task ([`Grouping::All`]).
-    #[must_use]
-    pub fn is_broadcast(&self) -> bool {
-        matches!(self, Grouping::All)
-    }
-
     /// Short lowercase name used in reports and errors.
     #[must_use]
     pub fn name(&self) -> &'static str {
@@ -71,13 +64,6 @@ mod tests {
     fn fields_constructor_copies_names() {
         let g = Grouping::fields(&["word"]);
         assert_eq!(g, Grouping::Fields(vec!["word".to_owned()]));
-    }
-
-    #[test]
-    fn broadcast_detection() {
-        assert!(Grouping::All.is_broadcast());
-        assert!(!Grouping::Shuffle.is_broadcast());
-        assert!(!Grouping::fields(&["k"]).is_broadcast());
     }
 
     #[test]

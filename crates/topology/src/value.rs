@@ -62,24 +62,6 @@ impl Value {
         }
     }
 
-    /// Returns the contained float, if this is a float value.
-    #[must_use]
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
-
-    /// Returns the contained boolean, if this is a boolean value.
-    #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Approximate serialized size in bytes, used by the network model.
     #[must_use]
     pub fn payload_bytes(&self) -> u64 {
@@ -262,8 +244,6 @@ mod tests {
     fn accessors_return_expected() {
         assert_eq!(Value::str("x").as_str(), Some("x"));
         assert_eq!(Value::Int(3).as_int(), Some(3));
-        assert_eq!(Value::Float(2.5).as_float(), Some(2.5));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(3).as_str(), None);
     }
 

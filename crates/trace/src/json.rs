@@ -38,6 +38,23 @@ pub fn write_f64(out: &mut String, v: f64) {
     }
 }
 
+/// Writes `items` as one JSON array: `[`, then each item through
+/// `write_item` with a `,` between two items, then `]`.
+pub fn array<T>(
+    items: impl IntoIterator<Item = T>,
+    mut write_item: impl FnMut(&mut String, T),
+) -> String {
+    let mut out = String::from("[");
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_item(&mut out, item);
+    }
+    out.push(']');
+    out
+}
+
 /// A push-style writer for one JSON object: `{"k":v,…}` with insertion
 /// order preserved, so output is deterministic.
 #[derive(Debug, Default)]
@@ -352,6 +369,13 @@ mod tests {
         let mut o = ObjectWriter::new();
         o.str("type", "X").u64("n", 3).f64("v", 1.5);
         assert_eq!(o.finish(), r#"{"type":"X","n":3,"v":1.5}"#);
+    }
+
+    #[test]
+    fn array_separates_items_with_commas() {
+        assert_eq!(array(Vec::<u8>::new(), |_, _| ()), "[]");
+        assert_eq!(array(["a"], write_escaped), r#"["a"]"#);
+        assert_eq!(array([1.5, f64::NAN, 2.0], write_f64), "[1.5,null,2]");
     }
 
     #[test]

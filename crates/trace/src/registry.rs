@@ -162,15 +162,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sample count of a histogram series, if it exists.
-    #[must_use]
-    pub fn histogram_count(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
-        match self.series(name, labels)? {
-            Series::Histogram { hist, .. } => Some(hist.count()),
-            _ => None,
-        }
-    }
-
     /// Number of registered families.
     #[must_use]
     pub fn len(&self) -> usize {

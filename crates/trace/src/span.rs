@@ -42,7 +42,7 @@
 //! byte-identical summaries.
 
 use crate::event::HopClass;
-use crate::json::ObjectWriter;
+use crate::json::{array, ObjectWriter};
 use std::fmt::Write as _;
 use tstorm_types::{ExecutorId, FxHashMap, NodeId, SimTime};
 
@@ -509,65 +509,42 @@ impl CriticalPathCollector {
             .u64("replay_us", t.replay_us)
             .u64("dropped_breakdowns", t.roots.saturating_sub(BREAKDOWN_CAP));
 
-        let mut components = String::from("[");
-        for (i, (name, c)) in self.sorted_components().into_iter().enumerate() {
-            if i > 0 {
-                components.push(',');
-            }
+        let components = array(self.sorted_components(), |out, (name, c)| {
             let mut co = ObjectWriter::new();
             co.str("component", name)
                 .u64("segments", c.segments)
                 .u64("queue_us", c.queue_us)
                 .u64("service_us", c.service_us);
-            components.push_str(&co.finish());
-        }
-        components.push(']');
-        o.raw("components", &components);
-
-        let mut edges = String::from("[");
-        for (i, (from, to, e)) in self.sorted_edges().into_iter().enumerate() {
-            if i > 0 {
-                edges.push(',');
-            }
+            out.push_str(&co.finish());
+        });
+        let edges = array(self.sorted_edges(), |out, (from, to, e)| {
             let mut eo = ObjectWriter::new();
             eo.str("from", from)
                 .str("to", to)
                 .u64("hops", e.hops)
                 .u64("network_us", e.network_us)
                 .u64("inter_node_hops", e.inter_node_hops);
-            edges.push_str(&eo.finish());
-        }
-        edges.push(']');
-        o.raw("edges", &edges);
-
-        let mut pairs = String::from("[");
-        for (i, ((from, to), p)) in self.sorted_node_pairs().into_iter().enumerate() {
-            if i > 0 {
-                pairs.push(',');
-            }
+            out.push_str(&eo.finish());
+        });
+        let pairs = array(self.sorted_node_pairs(), |out, ((from, to), p)| {
             let mut po = ObjectWriter::new();
             po.u64("from", u64::from(from.index()))
                 .u64("to", u64::from(to.index()))
                 .u64("hops", p.hops)
                 .u64("network_us", p.network_us);
-            pairs.push_str(&po.finish());
-        }
-        pairs.push(']');
-        o.raw("node_pairs", &pairs);
-
-        let mut classes = String::from("[");
-        for (i, (label, h)) in self.sorted_hop_classes().into_iter().enumerate() {
-            if i > 0 {
-                classes.push(',');
-            }
+            out.push_str(&po.finish());
+        });
+        let classes = array(self.sorted_hop_classes(), |out, (label, h)| {
             let mut ho = ObjectWriter::new();
             ho.str("class", label)
                 .u64("hops", h.hops)
                 .u64("network_us", h.network_us);
-            classes.push_str(&ho.finish());
-        }
-        classes.push(']');
-        o.raw("hop_classes", &classes);
+            out.push_str(&ho.finish());
+        });
+        o.raw("components", &components)
+            .raw("edges", &edges)
+            .raw("node_pairs", &pairs)
+            .raw("hop_classes", &classes);
         o.finish()
     }
 
