@@ -4,10 +4,10 @@ use crate::args::{RunOptions, ScaleClass};
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use tstorm_cluster::ClusterSpec;
-use tstorm_core::{SystemMode, TStormConfig, TStormSystem};
+use tstorm_core::{render_prometheus, SystemMode, TStormConfig, TStormSystem};
 use tstorm_metrics::RunReport;
 use tstorm_sim::FaultPlan;
-use tstorm_trace::{FlightRecorder, JsonlWriter, Observer, TraceFilter};
+use tstorm_trace::{FlightRecorder, Observer, TraceFilter};
 use tstorm_types::{Mhz, Result, SimTime, TStormError};
 use tstorm_workloads::chain::{self, ChainParams};
 use tstorm_workloads::logstream::{self, LogStreamParams, LogStreamState};
@@ -159,9 +159,12 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
     if let Some(path) = &opts.csv {
         create_up_front("--csv", path)?;
     }
-    let observer = build_observer(opts)?;
-    if observer.is_enabled() {
-        system.set_observer(observer.clone());
+    if let Some(observer) = trace_observer(opts)? {
+        system.set_observer(observer);
+    }
+    if let Some(path) = &opts.prom {
+        create_up_front("--prom", path)?;
+        system.sample_gauges();
     }
     if opts.spans {
         system.enable_spans();
@@ -250,21 +253,13 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
     system.run_until(SimTime::from_secs(opts.duration_secs))?;
     let recorder_lines = system.finish_recording();
 
-    if observer.is_enabled() {
-        observer
-            .flush()
-            .map_err(|e| TStormError::invalid_config("--trace", format!("flushing trace: {e}")))?;
-        if let Some(path) = &opts.prom {
-            let text = observer.render_prometheus().unwrap_or_default();
-            let mut file = BufWriter::new(File::create(path).map_err(|e| {
-                TStormError::invalid_config("--prom", format!("cannot create {path}: {e}"))
-            })?);
-            file.write_all(text.as_bytes())
-                .and_then(|()| file.flush())
-                .map_err(|e| {
-                    TStormError::invalid_config("--prom", format!("writing {path}: {e}"))
-                })?;
-        }
+    system
+        .simulation_mut()
+        .flush_trace()
+        .map_err(|e| TStormError::invalid_config("--trace", format!("flushing trace: {e}")))?;
+    if let Some(path) = &opts.prom {
+        std::fs::write(path, render_prometheus(&system))
+            .map_err(|e| TStormError::invalid_config("--prom", format!("writing {path}: {e}")))?;
     }
 
     let label = format!(
@@ -314,32 +309,27 @@ fn render_explanations(system: &TStormSystem) -> String {
     out
 }
 
-/// Builds the observer the options ask for: a JSONL sink for
-/// `--trace`, the category filter and sampling stride, and (with
-/// `--prom` alone) a metrics-only observer with no sinks. Returns a
-/// disabled observer when no observability flag is set, so untraced
-/// runs pay a single pointer check per potential event.
-fn build_observer(opts: &RunOptions) -> Result<Observer> {
-    if opts.trace.is_none() && opts.prom.is_none() {
-        return Ok(Observer::disabled());
-    }
-    let mut builder = Observer::builder().sample(opts.trace_sample);
-    if let Some(spec) = &opts.trace_filter {
-        let filter = TraceFilter::parse(spec).map_err(|tok| {
+/// The trace writer `--trace` asks for, with its category filter and
+/// sampling stride; `None` without `--trace`, so untraced runs pay a
+/// single pointer check per potential event.
+fn trace_observer(opts: &RunOptions) -> Result<Option<Observer>> {
+    let Some(path) = &opts.trace else {
+        return Ok(None);
+    };
+    let filter = match &opts.trace_filter {
+        Some(spec) => TraceFilter::parse(spec).map_err(|tok| {
             TStormError::invalid_config("--trace-filter", format!("unknown category `{tok}`"))
-        })?;
-        builder = builder.filter(filter);
-    }
-    if let Some(path) = &opts.trace {
-        let file = File::create(path).map_err(|e| {
-            TStormError::invalid_config("--trace", format!("cannot create {path}: {e}"))
-        })?;
-        builder = builder.sink(Box::new(JsonlWriter::new(BufWriter::new(file))));
-    }
-    if let Some(path) = &opts.prom {
-        create_up_front("--prom", path)?;
-    }
-    Ok(builder.build())
+        })?,
+        None => TraceFilter::all(),
+    };
+    let file = File::create(path).map_err(|e| {
+        TStormError::invalid_config("--trace", format!("cannot create {path}: {e}"))
+    })?;
+    Ok(Some(Observer::jsonl(
+        BufWriter::new(file),
+        filter,
+        opts.trace_sample,
+    )))
 }
 
 /// Creates an output file before the (possibly long) run, so an

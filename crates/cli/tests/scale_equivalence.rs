@@ -10,19 +10,16 @@ use tstorm_cli::args::{RunOptions, ScaleClass};
 use tstorm_cli::scenario::run_scenario;
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_sim::{SimConfig, Simulation};
-use tstorm_trace::{HopClass, Observer, TraceFilter};
+use tstorm_trace::HopClass;
 use tstorm_types::{Mhz, SimTime, SlotId};
 use tstorm_workloads::chain::{self, ChainParams};
 
 #[test]
 fn pair_tuples_are_row_major_and_sum_to_the_transfer_count() {
     // A raw simulation (no monitor draining the window) spread over
-    // 8 slots on 4 nodes, so every hop class carries traffic. The
-    // observer records metrics only; it never perturbs the run.
+    // 8 slots on 4 nodes, so every hop class carries traffic.
     let cluster = ClusterSpec::homogeneous(4, 2, Mhz::new(8000.0)).expect("valid");
     let mut sim = Simulation::new(cluster, SimConfig::default());
-    let observer = Observer::builder().filter(TraceFilter::none()).build();
-    sim.set_observer(observer.clone());
     let p = ChainParams {
         spouts: 2,
         bolt_parallelism: 3,
@@ -58,12 +55,7 @@ fn pair_tuples_are_row_major_and_sum_to_the_transfer_count() {
         HopClass::InterNode,
     ]
     .iter()
-    .map(|hop| {
-        observer
-            .metrics(|m| m.counter_value("tstorm_transfers_total", &[("hop", hop.label())]))
-            .flatten()
-            .unwrap_or(0)
-    })
+    .map(|hop| sim.transfers(*hop).0)
     .sum();
     let tuples: u64 = pairs.iter().map(|(_, _, t)| t).sum();
     assert!(

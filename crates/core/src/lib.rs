@@ -60,6 +60,7 @@
 
 pub mod config;
 pub mod nimbus;
+pub mod prometheus;
 pub mod store;
 pub mod supervisor;
 pub mod system;
@@ -67,7 +68,8 @@ pub mod timeline;
 
 pub use config::{SystemMode, TStormConfig};
 pub use nimbus::{ControlStats, Nimbus};
+pub use prometheus::render_prometheus;
 pub use store::{ScheduleStore, StoredSchedule};
 pub use supervisor::{HeartbeatOutcome, Supervisor};
-pub use system::TStormSystem;
+pub use system::{SolveTimes, TStormSystem};
 pub use timeline::{render_timeline, ControlEvent};

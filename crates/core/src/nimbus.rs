@@ -57,7 +57,8 @@ pub struct ControlStats {
     pub heartbeats_missed: u64,
     /// Supervisor fetches that picked up a new assignment epoch.
     pub fetches: u64,
-    /// Assignment epochs applied across all supervisors.
+    /// Assignment epochs applied across all supervisors — equal to
+    /// `fetches`, since each such fetch applies its epoch.
     pub epochs_applied: u64,
     /// Nodes Nimbus declared dead from heartbeat silence.
     pub nodes_declared_dead: u64,

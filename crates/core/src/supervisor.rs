@@ -52,7 +52,7 @@ pub struct Supervisor {
     observed_down: bool,
     heartbeats_sent: u64,
     heartbeats_missed: u64,
-    fetches: u64,
+    /// Fetches that picked up a newer epoch, each of which applies it.
     epochs_applied: u64,
 }
 
@@ -95,7 +95,6 @@ impl Supervisor {
             observed_down: false,
             heartbeats_sent: 0,
             heartbeats_missed: 0,
-            fetches: 0,
             epochs_applied: 0,
         }
     }
@@ -156,7 +155,6 @@ impl Supervisor {
             return None;
         }
         self.applied_epoch = store_epoch;
-        self.fetches += 1;
         self.epochs_applied += 1;
         Some(store_epoch)
     }
@@ -184,13 +182,8 @@ impl Supervisor {
         self.heartbeats_missed
     }
 
-    /// Fetches that picked up a new epoch.
-    #[must_use]
-    pub fn fetches(&self) -> u64 {
-        self.fetches
-    }
-
-    /// Epochs applied on this node.
+    /// Epochs applied on this node: one per fetch that picked up a
+    /// newer epoch.
     #[must_use]
     pub fn epochs_applied(&self) -> u64 {
         self.epochs_applied
@@ -290,7 +283,7 @@ mod tests {
         let t3 = s.next_fetch;
         assert_eq!(s.poll_fetch(t3, false, 4), None, "down nodes cannot apply");
         assert_eq!(s.applied_epoch(), 3);
-        assert_eq!(s.fetches(), 1);
+        assert_eq!(s.epochs_applied(), 1);
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl Simulation {
             tuple: root_id.get(),
             executor: idx as u32,
         });
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_tuples_emitted_total",
-                "Spout emissions, including replays",
-                &[],
-                1,
-            );
-        });
 
         let has_ackers = !self.topologies[topo_idx].ackers.is_empty();
         let acker = if has_ackers {
@@ -174,16 +166,9 @@ impl Simulation {
                 let root_id = env.root.expect("acker messages carry a root");
                 let handle = env.root_handle.expect("acker messages carry a root handle");
                 if matches!(env.kind, EnvelopeKind::AckerAck { .. }) {
+                    self.acks += 1;
                     self.emit_trace(|| TraceEvent::Ack {
                         tuple: root_id.get(),
-                    });
-                    self.observer.metrics(|m| {
-                        m.inc_counter(
-                            "tstorm_acks_total",
-                            "Ack-tree edges retired by ackers",
-                            &[],
-                            1,
-                        );
                     });
                 }
                 let (done, spout) = match self.roots.get_mut(handle) {
@@ -218,23 +203,10 @@ impl Simulation {
             self.recycle_span_tree(root.spans);
             self.report.record_latency(self.clock, latency_ms);
             self.completed += 1;
+            self.latency_sum_ms += latency_ms;
             self.emit_trace(|| TraceEvent::Complete {
                 tuple: root_id.get(),
                 latency_ms,
-            });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_tuples_completed_total",
-                    "Fully acked spout tuples",
-                    &[],
-                    1,
-                );
-                m.observe(
-                    "tstorm_complete_latency_ms",
-                    "End-to-end tuple completion latency",
-                    &[],
-                    latency_ms,
-                );
             });
             // Recovery latency: fault time → first completion under the
             // recovery placement (ISSUE metric definition).
@@ -245,14 +217,6 @@ impl Simulation {
                     self.recovery_latencies.push(recovery_ms);
                     self.emit_trace(|| TraceEvent::RecoveryComplete {
                         latency_ms: recovery_ms,
-                    });
-                    self.observer.metrics(|m| {
-                        m.observe(
-                            "tstorm_recovery_latency_ms",
-                            "Fault to first post-reassignment completion",
-                            &[],
-                            recovery_ms,
-                        );
                     });
                 }
             }
@@ -271,14 +235,6 @@ impl Simulation {
         self.emit_trace(|| TraceEvent::Timeout {
             tuple: root_id.get(),
         });
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_tuples_timeout_total",
-                "Spout tuples whose message timeout expired",
-                &[],
-                1,
-            );
-        });
         if root.replays < self.config.max_replays && !root.values.is_empty() {
             let spout_idx = root.spout.as_usize();
             self.replays_triggered += 1;
@@ -289,14 +245,6 @@ impl Simulation {
             ));
             self.emit_trace(|| TraceEvent::Replay {
                 tuple: root_id.get(),
-            });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_tuples_replayed_total",
-                    "Timed-out tuples queued for spout replay",
-                    &[],
-                    1,
-                );
             });
             if self.is_available(spout_idx) {
                 self.schedule_tick(root.spout, self.clock);
@@ -309,14 +257,6 @@ impl Simulation {
             self.emit_trace(|| TraceEvent::TupleFailed {
                 tuple: root_id.get(),
                 replays,
-            });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_tuples_failed_total",
-                    "Tuples that timed out with no replay possible",
-                    &[],
-                    1,
-                );
             });
         }
     }

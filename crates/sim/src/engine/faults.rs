@@ -5,6 +5,7 @@
 use super::Simulation;
 use crate::event::Event;
 use crate::fault::{FaultKind, FaultPlan};
+use std::collections::BTreeMap;
 use tstorm_cluster::ClusterSpec;
 use tstorm_trace::TraceEvent;
 use tstorm_types::{ExecutorId, NodeId, Result, SlotId, TStormError};
@@ -124,7 +125,21 @@ impl Simulation {
     /// Fault-plan events fired so far.
     #[must_use]
     pub fn faults_injected(&self) -> u32 {
-        self.faults_injected
+        self.faults.values().sum()
+    }
+
+    /// Fault-plan events fired so far, by [`FaultKind::name`], in name
+    /// order.
+    #[must_use]
+    pub fn faults_by_kind(&self) -> &BTreeMap<&'static str, u32> {
+        &self.faults
+    }
+
+    /// Occupied workers a crash stopped, whether or not they held
+    /// tuples.
+    #[must_use]
+    pub fn crashed_workers(&self) -> u64 {
+        self.crashed_workers
     }
 
     /// Tuples destroyed by fault-plan crashes: queued or in service at
@@ -148,7 +163,8 @@ impl Simulation {
     /// the victims unassigned — the monitoring loop notices at its next
     /// round and re-runs the scheduler against the shrunken cluster.
     pub(super) fn on_fault(&mut self, kind: &FaultKind) {
-        self.faults_injected += 1;
+        let name = kind.name();
+        *self.faults.entry(name).or_default() += 1;
         let node = kind.node();
         // Resolve a worker crash's slot exactly once: the `FaultInjected`
         // trace event and the crash below must name the same slot, and
@@ -164,19 +180,10 @@ impl Simulation {
             _ => None,
         };
         let worker = crashed_slot.map(|s| s.index());
-        let name = kind.name();
         self.emit_trace(|| TraceEvent::FaultInjected {
             kind: name.to_owned(),
             node: node.map(|n| n.index()),
             worker,
-        });
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_faults_injected_total",
-                "Fault-plan events fired",
-                &[("kind", name)],
-                1,
-            );
         });
         match kind {
             FaultKind::WorkerCrash { .. } => {
@@ -225,6 +232,7 @@ impl Simulation {
         if victims.is_empty() {
             return; // empty slot: nothing to kill
         }
+        self.crashed_workers += 1;
         {
             let node = self.cluster.node_of(slot).index();
             let worker = slot.index();
@@ -237,7 +245,7 @@ impl Simulation {
             self.executors[i].paused_until = None;
             self.current.unassign(ExecutorId::new(i as u32));
         }
-        self.note_tuple_lost(lost);
+        self.tuples_lost += lost;
     }
 
     /// The loss rule: where `n` tuples that will never be delivered are
@@ -246,25 +254,11 @@ impl Simulation {
     /// anything else is routine relocation churn
     /// ([`Simulation::dropped_in_flight`]).
     pub(super) fn drop_undeliverable(&mut self, n: u64, unplaced: bool) {
-        if self.faults_injected > 0 && unplaced {
-            self.note_tuple_lost(n);
+        if unplaced && !self.faults.is_empty() {
+            self.tuples_lost += n;
         } else {
             self.dropped_in_flight += n;
         }
-    }
-
-    /// Counts tuples destroyed by a fault — at the crash instant or
-    /// dropped later because a crash left their destination unplaced.
-    fn note_tuple_lost(&mut self, n: u64) {
-        self.tuples_lost += n;
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_tuples_lost_total",
-                "Queued or in-service tuples destroyed by crashes",
-                &[],
-                n,
-            );
-        });
     }
 
     /// A crashed node rejoins: its slots become schedulable again. No

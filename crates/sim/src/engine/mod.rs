@@ -15,7 +15,7 @@ use crate::event::{BatchEnvelope, Envelope, Event, EventQueue};
 use crate::logic::ExecutorLogic;
 use crate::network::Network;
 use crate::routing::RouteRule;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use tstorm_cluster::{Assignment, ClusterSpec};
 use tstorm_metrics::RunReport;
 use tstorm_topology::{ComponentSpec, CostProfile, ExecutionPlan, SharedValues, Topology};
@@ -245,11 +245,22 @@ pub struct Simulation {
     pairs_observed_high_water: u64,
     report: RunReport,
     completed: u64,
+    /// Sum of every completed root's latency, in ms.
+    latency_sum_ms: f64,
     failed: u64,
     emitted: u64,
+    /// Ack-tree edges retired by ackers.
+    acks: u64,
+    /// Tuple transfers and their bytes, indexed by
+    /// [`HopClass`](crate::network::HopClass).
+    transfers: [(u64, u64); 3],
     dropped_in_flight: u64,
     reassignments: u32,
     events_processed: u64,
+    /// Every executor's receive-queue depth at the latest supervisor
+    /// poll; `None` unless [`Simulation::sample_queue_depths`] asked
+    /// for it.
+    queue_depth_sample: Option<Vec<usize>>,
     observer: Observer,
     /// Streaming critical-path analyzer. `None` (the default) keeps the
     /// span plane fully inert: envelopes carry `NO_SPAN`, span trees
@@ -259,10 +270,12 @@ pub struct Simulation {
     /// Cleared span trees of completed or timed-out roots, reused by
     /// the next emissions.
     span_pool: Vec<SpanTree>,
-    /// Monotonic version of applied assignments (for trace events).
+    /// Monotonic version of applied assignments: the number applied.
     assignment_version: u64,
-    /// Fault-plan events fired so far.
-    faults_injected: u32,
+    /// Fault-plan events fired so far, by kind name.
+    faults: BTreeMap<&'static str, u32>,
+    /// Occupied workers a crash stopped.
+    crashed_workers: u64,
     /// Tuples destroyed by fault-plan crashes: queued or in service at
     /// the crash instant, plus in-flight messages dropped because a
     /// crash left an endpoint unplaced.
@@ -276,6 +289,8 @@ pub struct Simulation {
     recovery_fault_at: Option<SimTime>,
     /// Whether a post-fault assignment has been applied already.
     recovery_reassigned: bool,
+    /// Assignments that re-placed executors after a fault.
+    recovery_reassignments: u64,
     /// Fault-to-first-completion latencies (ms) of healed faults.
     recovery_latencies: Vec<f64>,
 }
@@ -340,21 +355,27 @@ impl Simulation {
             pairs_observed_high_water: 0,
             report: RunReport::new("run"),
             completed: 0,
+            latency_sum_ms: 0.0,
             failed: 0,
             emitted: 0,
+            acks: 0,
+            transfers: [(0, 0); 3],
             dropped_in_flight: 0,
             reassignments: 0,
             events_processed: 0,
+            queue_depth_sample: None,
             observer: Observer::disabled(),
             spans: None,
             span_pool: Vec::new(),
             assignment_version: 0,
-            faults_injected: 0,
+            faults: BTreeMap::new(),
+            crashed_workers: 0,
             tuples_lost: 0,
             replays_triggered: 0,
             perm_failed: 0,
             recovery_fault_at: None,
             recovery_reassigned: false,
+            recovery_reassignments: 0,
             recovery_latencies: Vec::new(),
         };
         sim.queue
@@ -362,12 +383,35 @@ impl Simulation {
         sim
     }
 
-    /// Attaches an observer; all subsequent state transitions emit trace
-    /// events and update the shared metrics registry. The default
-    /// (disabled) observer makes every instrumentation site a no-op, so
-    /// untraced runs behave bit-identically to uninstrumented builds.
+    /// Attaches the trace writer; all subsequent state transitions emit
+    /// trace events. The default (disabled) observer makes every
+    /// instrumentation site a no-op, so untraced runs behave
+    /// bit-identically to uninstrumented builds.
     pub fn set_observer(&mut self, observer: Observer) {
         self.observer = observer;
+    }
+
+    /// True while a trace writer is attached.
+    #[must_use]
+    pub fn tracing(&self) -> bool {
+        self.observer.is_enabled()
+    }
+
+    /// Flushes the trace writer.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the writer's flush failure.
+    pub fn flush_trace(&mut self) -> std::io::Result<()> {
+        self.observer.flush()
+    }
+
+    /// Keeps every executor's receive-queue depth at each supervisor
+    /// poll from now on, replacing the previous poll's (see
+    /// [`Simulation::queue_depth_sample`]). Off by default: the sample
+    /// walks every executor.
+    pub fn sample_queue_depths(&mut self) {
+        self.queue_depth_sample.get_or_insert_with(Vec::new);
     }
 
     /// Enables causal span collection: every ack-tree root grows a span
@@ -526,13 +570,11 @@ impl Simulation {
         }
     }
 
-    /// Emits a trace event. The closure only runs when the observer is
-    /// enabled, mirroring [`Observer::emit_with`].
+    /// Emits a trace event stamped with the current virtual time. The
+    /// closure only runs while a trace writer is attached.
     #[inline]
-    fn emit_trace(&mut self, build: impl FnOnce() -> TraceEvent) {
-        if self.observer.is_enabled() {
-            self.observer.emit(self.clock, &build());
-        }
+    pub fn emit_trace(&mut self, build: impl FnOnce() -> TraceEvent) {
+        self.observer.emit_with(self.clock, build);
     }
 
     /// Current virtual time.

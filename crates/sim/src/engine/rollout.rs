@@ -36,8 +36,8 @@ impl Simulation {
         self.record_usage();
     }
 
-    /// Emits the worker/assignment trace events and counters for a
-    /// just-applied assignment (`self.current` must already hold it).
+    /// Counts a just-applied assignment and emits its worker/assignment
+    /// trace events (`self.current` must already hold it).
     fn note_assignment_change(&mut self, old_slots: &BTreeSet<SlotId>, diff: &AssignmentDiff) {
         self.assignment_version += 1;
         let version = self.assignment_version;
@@ -58,30 +58,15 @@ impl Simulation {
             let worker = slot.index();
             self.emit_trace(|| TraceEvent::WorkerStop { node, worker });
         }
-        self.observer.metrics(|m| {
-            m.inc_counter(
-                "tstorm_assignments_applied_total",
-                "Assignments applied to the cluster",
-                &[],
-                1,
-            );
-        });
         // A fault is pending recovery: the first assignment that places
         // or moves executors afterwards is the recovery placement.
         let placed = (diff.added.len() + diff.moved.len()) as u64;
         if self.recovery_fault_at.is_some() && !self.recovery_reassigned && placed > 0 {
             self.recovery_reassigned = true;
+            self.recovery_reassignments += 1;
             self.emit_trace(|| TraceEvent::ExecutorsReassigned {
                 version,
                 count: placed,
-            });
-            self.observer.metrics(|m| {
-                m.inc_counter(
-                    "tstorm_recovery_reassignments_total",
-                    "Assignments that re-placed executors after a fault",
-                    &[],
-                    1,
-                );
             });
         }
     }
@@ -259,25 +244,11 @@ impl Simulation {
             self.clock + self.config.reassign.supervisor_poll,
             Event::SupervisorPoll,
         );
-        if self.observer.is_enabled() {
+        if let Some(sample) = &mut self.queue_depth_sample {
             // Sample queue occupancy on the supervisor grid: cheap, and
             // frequent enough to catch sustained backlog.
-            let depths: Vec<(usize, usize)> = self
-                .executors
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (i, e.queue.len()))
-                .collect();
-            self.observer.metrics(|m| {
-                for (i, depth) in depths {
-                    m.set_gauge(
-                        "tstorm_queue_depth",
-                        "Executor receive-queue depth at the last supervisor poll",
-                        &[("executor", &i.to_string())],
-                        depth as f64,
-                    );
-                }
-            });
+            sample.clear();
+            sample.extend(self.executors.iter().map(|e| e.queue.len()));
         }
         let Some(pending) = self.pending.take() else {
             return;

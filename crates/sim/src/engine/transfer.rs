@@ -178,8 +178,8 @@ impl Simulation {
     }
 
     /// The per-tuple bookkeeping both send paths share, done at send
-    /// (or stage) time: the placement check, the pair counter, the
-    /// transfer trace event and metrics, and NIC egress attribution.
+    /// (or stage) time: the placement check, the pair and hop-class
+    /// counters, the transfer trace event, and NIC egress attribution.
     /// Returns the endpoints' nodes and hop class, or `None` when an
     /// endpoint is unplaced and the tuple was dropped.
     fn account_transfer(
@@ -208,21 +208,9 @@ impl Simulation {
             hop,
             bytes: payload.get(),
         });
-        self.observer.metrics(|m| {
-            let labels = [("hop", hop.label())];
-            m.inc_counter(
-                "tstorm_transfers_total",
-                "Tuple transfers by locality class",
-                &labels,
-                1,
-            );
-            m.inc_counter(
-                "tstorm_transfer_bytes_total",
-                "Bytes transferred by locality class",
-                &labels,
-                payload.get(),
-            );
-        });
+        let (transfers, bytes) = &mut self.transfers[hop as usize];
+        *transfers += 1;
+        *bytes += payload.get();
         if matches!(hop, HopClass::InterNode) {
             self.counters
                 .add_node_tx(src_node.as_usize(), payload.get());

@@ -3,7 +3,7 @@
 //! Every observable state transition in the simulated T-Storm cluster is
 //! one [`TraceEvent`] variant. Events carry plain identifiers (executor
 //! indices, node indices, tuple ids) rather than references into
-//! simulator state, so a sink can buffer or serialise them without
+//! simulator state, so a writer can buffer or serialise them without
 //! lifetime entanglement.
 //!
 //! Rendering to JSONL is part of this module so that the byte layout of
@@ -44,7 +44,7 @@ impl HopClass {
     }
 }
 
-/// Coarse event category, used for sink filtering and sampling.
+/// Coarse event category, used for trace filtering and sampling.
 ///
 /// High-frequency data-plane categories (`Tuple`, `Queue`, `Process`)
 /// are eligible for 1-in-N sampling; control-plane categories are

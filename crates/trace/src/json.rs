@@ -1,6 +1,6 @@
 //! Minimal in-tree JSON support: a push-style writer used by the JSONL
-//! sink and the metrics dump, plus a small recursive-descent parser used
-//! by round-trip tests and external tooling.
+//! trace and the flight recorder, plus a small recursive-descent parser
+//! used by round-trip tests and external tooling.
 //!
 //! No serde: the trace layer must stay dependency-free and its output
 //! byte-deterministic. Numbers are written with Rust's shortest

@@ -58,8 +58,8 @@ impl<W: Write + Send> FlightRecorder<W> {
     }
 
     fn write_line(&mut self, line: &str) {
-        // Recording is best-effort, like the trace sinks: a full disk
-        // must not abort the simulation.
+        // Recording is best-effort, like the trace: a full disk must
+        // not abort the simulation.
         if writeln!(self.out, "{line}").is_ok() {
             self.lines += 1;
         }

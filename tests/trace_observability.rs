@@ -3,10 +3,12 @@
 //! coverage of every trace event category in one disrupted run.
 
 use std::collections::BTreeSet;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 use tstorm::cluster::ClusterSpec;
 use tstorm::core::{SystemMode, TStormConfig, TStormSystem};
 use tstorm::sim::{FaultEvent, FaultKind, FaultPlan};
-use tstorm::trace::{EventCategory, JsonlWriter, Observer, SharedSink};
+use tstorm::trace::{EventCategory, Observer, TraceFilter};
 use tstorm::types::{Mhz, SimTime};
 use tstorm::workloads::throughput::{self, ThroughputParams};
 
@@ -24,6 +26,28 @@ fn fast_config(seed: u64) -> TStormConfig {
     c
 }
 
+/// A trace buffer the test reads back while the observer writes to a
+/// clone of it.
+#[derive(Clone, Default)]
+struct TraceBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for TraceBuf {
+    fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().expect("trace lock").extend_from_slice(bytes);
+        Ok(bytes.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl TraceBuf {
+    fn text(&self) -> String {
+        String::from_utf8(self.0.lock().expect("trace lock").clone()).expect("utf8 trace")
+    }
+}
+
 struct RunResult {
     jsonl: Option<String>,
     fingerprint: String,
@@ -36,10 +60,9 @@ fn disrupted_run(seed: u64, traced: bool) -> RunResult {
     let p = ThroughputParams::small();
     let topo = throughput::topology(&p).expect("valid");
     let mut system = TStormSystem::new(cluster(), fast_config(seed)).expect("valid");
-    let sink = SharedSink::new(JsonlWriter::new(Vec::new()));
+    let trace = TraceBuf::default();
     if traced {
-        let obs = Observer::builder().sink(Box::new(sink.handle())).build();
-        system.set_observer(obs);
+        system.set_observer(Observer::jsonl(trace.clone(), TraceFilter::all(), 1));
     }
     let mut f = throughput::factory(&p, seed);
     system.submit(&topo, &mut f).expect("submits");
@@ -73,8 +96,7 @@ fn disrupted_run(seed: u64, traced: bool) -> RunResult {
         .expect("plan fits the cluster");
     system.run_until(SimTime::from_secs(150)).expect("runs");
 
-    let jsonl =
-        traced.then(|| sink.with(|w| String::from_utf8(w.get_ref().clone()).expect("utf8 trace")));
+    let jsonl = traced.then(|| trace.text());
     let fingerprint = format!(
         "{:?}",
         (
