@@ -87,14 +87,6 @@ impl WindowSnapshot {
         self.executor_cycles.iter().copied()
     }
 
-    /// Per-pair tuple counts, in key order.
-    pub fn traffic_readings(&self) -> impl Iterator<Item = (ExecutorId, ExecutorId, u64)> + '_ {
-        self.pair_tuples.iter().map(|&(key, n)| {
-            let (from, to) = unpack_pair(key);
-            (from, to, n)
-        })
-    }
-
     /// Per-pair tuple counts by packed pair key, in key order.
     pub(crate) fn pair_readings(&self) -> &[(u64, u64)] {
         &self.pair_tuples
@@ -123,10 +115,7 @@ mod tests {
         s.record_traffic(e(0), e(1), 10);
         s.record_traffic(e(0), e(1), 5);
         assert_eq!(s.cpu_readings().collect::<Vec<_>>(), vec![(e(0), 150)]);
-        assert_eq!(
-            s.traffic_readings().collect::<Vec<_>>(),
-            vec![(e(0), e(1), 15)]
-        );
+        assert_eq!(s.pair_readings(), [(pair_key(e(0), e(1)), 15)]);
         assert!(!s.is_empty());
     }
 
@@ -147,12 +136,12 @@ mod tests {
             s.record_cpu(e(ex), c);
         }
         assert_eq!(
-            s.traffic_readings().collect::<Vec<_>>(),
-            vec![
-                (e(0), e(5), 7),
-                (e(1), e(1), 4),
-                (e(2), e(0), 4),
-                (e(3), e(0), 6)
+            s.pair_readings(),
+            [
+                (pair_key(e(0), e(5)), 7),
+                (pair_key(e(1), e(1)), 4),
+                (pair_key(e(2), e(0)), 4),
+                (pair_key(e(3), e(0)), 6)
             ]
         );
         assert_eq!(

@@ -461,12 +461,6 @@ impl EventQueue {
         entry.event
     }
 
-    /// Time of the earliest pending event.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.first().map(|(at, _)| at)
-    }
-
     /// Number of pending events in all three lanes.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -640,14 +634,17 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn pop_until_stops_at_the_bound() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert!(q.pop_until(SimTime::MAX).is_none());
         q.push(SimTime::from_secs(5), Event::SupervisorPoll);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
         assert_eq!(q.len(), 1);
         assert_eq!(q.high_water(), 1);
+        assert!(q.pop_until(SimTime::from_secs(4)).is_none());
+        let popped = q.pop_until(SimTime::from_secs(5)).map(|(at, _)| at);
+        assert_eq!(popped, Some(SimTime::from_secs(5)));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -744,7 +741,7 @@ mod tests {
             }
             assert_eq!(q.len(), oracle.heap.len());
             assert_eq!(q.is_empty(), oracle.heap.is_empty());
-            assert_eq!(q.peek_time(), oracle.peek_time());
+            assert_eq!(q.first().map(|(at, _)| at), oracle.peek_time());
             assert_eq!(q.high_water(), peak);
         }
         assert!(q.is_empty());
@@ -845,7 +842,7 @@ mod tests {
             }
             assert_eq!(q.len(), oracle.heap.len());
             assert_eq!(q.is_empty(), oracle.heap.is_empty());
-            assert_eq!(q.peek_time(), oracle.peek_time());
+            assert_eq!(q.first().map(|(at, _)| at), oracle.peek_time());
             assert_eq!(q.high_water(), peak);
         }
         while let Some(popped) = q.pop() {

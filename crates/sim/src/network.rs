@@ -62,12 +62,6 @@ impl Network {
         self.nic_bits[node.as_usize()] = bits_per_sec.max(1);
     }
 
-    /// The node's NIC speed class in bits per second.
-    #[must_use]
-    pub fn node_nic(&self, node: NodeId) -> u64 {
-        self.nic_bits[node.as_usize()]
-    }
-
     /// Sets a node's transient NIC slowdown multiplier (≥ 1; `1.0`
     /// restores full speed).
     pub fn set_slow_factor(&mut self, node: NodeId, factor: f64) {
@@ -294,7 +288,6 @@ mod tests {
         let mut fast = Network::new(NetworkConfig::default(), 4);
         fast.set_node_nic(node(0), 10_000_000_000);
         fast.set_node_nic(node(1), 10_000_000_000);
-        assert_eq!(fast.node_nic(node(0)), 10_000_000_000);
         let fast_time = fast.delivery_time(now, HopClass::InterNode, big, node(0), node(1), 0);
         assert!(
             fast_time < default_time,
@@ -310,7 +303,6 @@ mod tests {
 
         // NIC classes are cluster shape: reset() keeps them.
         fast.reset();
-        assert_eq!(fast.node_nic(node(1)), 10_000_000_000);
         let after = fast.delivery_time(now, HopClass::InterNode, big, node(0), node(1), 0);
         assert_eq!(after, fast_time);
     }

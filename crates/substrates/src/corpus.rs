@@ -107,12 +107,6 @@ impl CorpusReader {
         line
     }
 
-    /// Number of distinct lines in one cycle.
-    #[must_use]
-    pub fn cycle_len(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Total lines produced so far.
     #[must_use]
     pub fn produced(&self) -> u64 {
@@ -142,8 +136,10 @@ mod tests {
 
     #[test]
     fn alice_has_many_lines() {
-        let r = CorpusReader::alice();
-        assert!(r.cycle_len() >= 30, "got {}", r.cycle_len());
+        let mut r = CorpusReader::alice();
+        let first: std::collections::HashSet<String> =
+            (0..30).map(|_| r.next_line().to_owned()).collect();
+        assert_eq!(first.len(), 30, "the first 30 lines are distinct");
     }
 
     #[test]
@@ -157,8 +153,10 @@ mod tests {
 
     #[test]
     fn skips_blank_lines() {
-        let r = CorpusReader::from_text("a\n\n  \nb\n");
-        assert_eq!(r.cycle_len(), 2);
+        let mut r = CorpusReader::from_text("a\n\n  \nb\n");
+        assert_eq!(r.next_line(), "a");
+        assert_eq!(r.next_line(), "b");
+        assert_eq!(r.next_line(), "a");
     }
 
     #[test]
@@ -181,108 +179,10 @@ mod tests {
         // Fields grouping load imbalance depends on skew: "the"/"she"/"it"
         // must dominate the tail.
         let r = CorpusReader::alice();
-        let counts = r.expected_word_counts(r.cycle_len() as u64);
+        let counts = r.expected_word_counts(r.lines.len() as u64);
         let max = counts.values().copied().max().unwrap();
         let singletons = counts.values().filter(|&&c| c == 1).count();
         assert!(max >= 10, "most frequent word only {max}");
         assert!(singletons > 50, "only {singletons} singleton words");
-    }
-}
-
-/// A synthetic Zipfian word-line generator for scale testing beyond the
-/// embedded excerpt: lines of `words_per_line` words drawn from a
-/// vocabulary of `vocabulary` words with Zipf(`1.0`) frequency — the
-/// skew shape natural text exhibits.
-#[derive(Debug, Clone)]
-pub struct ZipfCorpus {
-    rng: tstorm_types::DetRng,
-    cdf: Vec<f64>,
-    words_per_line: usize,
-    produced: u64,
-}
-
-impl ZipfCorpus {
-    /// Creates a generator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vocabulary` or `words_per_line` is zero.
-    #[must_use]
-    pub fn new(vocabulary: usize, words_per_line: usize, seed: u64) -> Self {
-        assert!(vocabulary > 0, "vocabulary must be non-empty");
-        assert!(words_per_line > 0, "lines must contain words");
-        Self {
-            rng: tstorm_types::DetRng::seed_from(seed),
-            cdf: tstorm_types::rng::zipf_cdf(vocabulary, 1.0),
-            words_per_line,
-            produced: 0,
-        }
-    }
-
-    /// Generates the next line.
-    pub fn next_line(&mut self) -> String {
-        let mut line = String::with_capacity(self.words_per_line * 7);
-        for i in 0..self.words_per_line {
-            if i > 0 {
-                line.push(' ');
-            }
-            let rank = self.rng.zipf_index(&self.cdf);
-            line.push_str(&format!("w{rank:05}"));
-        }
-        self.produced += 1;
-        line
-    }
-
-    /// Lines produced so far.
-    #[must_use]
-    pub fn produced(&self) -> u64 {
-        self.produced
-    }
-}
-
-#[cfg(test)]
-mod zipf_tests {
-    use super::*;
-    use std::collections::HashMap;
-
-    #[test]
-    fn lines_have_requested_width() {
-        let mut g = ZipfCorpus::new(1000, 8, 3);
-        for _ in 0..20 {
-            assert_eq!(g.next_line().split_whitespace().count(), 8);
-        }
-        assert_eq!(g.produced(), 20);
-    }
-
-    #[test]
-    fn word_frequency_is_zipfian() {
-        let mut g = ZipfCorpus::new(500, 10, 7);
-        let mut counts: HashMap<String, u64> = HashMap::new();
-        for _ in 0..2000 {
-            for w in g.next_line().split_whitespace() {
-                *counts.entry(w.to_owned()).or_insert(0) += 1;
-            }
-        }
-        // Rank 0 dominates the median word heavily under Zipf(1).
-        let top = counts.get("w00000").copied().unwrap_or(0);
-        let mut all: Vec<u64> = counts.values().copied().collect();
-        all.sort_unstable();
-        let median = all[all.len() / 2];
-        assert!(top > median * 20, "top {top} vs median {median}");
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let mut a = ZipfCorpus::new(100, 5, 11);
-        let mut b = ZipfCorpus::new(100, 5, 11);
-        for _ in 0..10 {
-            assert_eq!(a.next_line(), b.next_line());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "vocabulary must be non-empty")]
-    fn zero_vocabulary_panics() {
-        let _ = ZipfCorpus::new(0, 5, 1);
     }
 }

@@ -30,7 +30,7 @@ pub mod logstash;
 pub mod mongo;
 pub mod redis;
 
-pub use corpus::{CorpusReader, ZipfCorpus};
+pub use corpus::CorpusReader;
 pub use logstash::{IisLogGenerator, LogEntry};
 pub use mongo::{Document, MongoStore};
-pub use redis::{ProducerHandle, RedisQueue};
+pub use redis::RedisQueue;

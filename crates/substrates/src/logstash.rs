@@ -78,12 +78,6 @@ impl LogEntry {
     pub fn is_error(&self) -> bool {
         self.status >= 500
     }
-
-    /// True if the entry represents a client error (404 etc.).
-    #[must_use]
-    pub fn is_client_error(&self) -> bool {
-        (400..500).contains(&self.status)
-    }
 }
 
 /// Generates synthetic IIS log lines as flat JSON, deterministically from
@@ -265,8 +259,7 @@ mod tests {
             user_agent: String::new(),
         };
         assert!(mk(500).is_error());
-        assert!(!mk(500).is_client_error());
-        assert!(mk(404).is_client_error());
+        assert!(!mk(404).is_error());
         assert!(!mk(200).is_error());
     }
 

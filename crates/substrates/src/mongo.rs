@@ -125,7 +125,6 @@ impl KeyIndex {
 pub struct MongoStore {
     collections: BTreeMap<String, Vec<Document>>,
     indexes: BTreeMap<String, BTreeMap<String, KeyIndex>>,
-    inserts: u64,
 }
 
 impl MongoStore {
@@ -147,7 +146,6 @@ impl MongoStore {
             .get_mut(collection)
             .expect("ensured above")
             .push(doc);
-        self.inserts += 1;
     }
 
     /// Upserts by key field: if a document with the same value of
@@ -159,7 +157,6 @@ impl MongoStore {
     /// index; observable behaviour (row order, counts, stored values)
     /// is identical to the original first-match linear scan.
     pub fn upsert_by(&mut self, collection: &str, key_field: &str, doc: Document) {
-        self.inserts += 1;
         if !self.collections.contains_key(collection) {
             self.collections.insert(collection.to_owned(), Vec::new());
         }
@@ -241,7 +238,6 @@ impl MongoStore {
                             && row.get(key_field) == Some(key)
                             && row.set_in_place(value_field, value)
                         {
-                            self.inserts += 1;
                             for (field, other) in per.iter_mut() {
                                 if field != key_field {
                                     other.invalidate();
@@ -274,18 +270,6 @@ impl MongoStore {
         self.collection(name).len()
     }
 
-    /// Collection names in order.
-    #[must_use]
-    pub fn collection_names(&self) -> Vec<&str> {
-        self.collections.keys().map(String::as_str).collect()
-    }
-
-    /// Total insert operations performed (including upserts).
-    #[must_use]
-    pub fn total_inserts(&self) -> u64 {
-        self.inserts
-    }
-
     /// Finds the first document in a collection whose `field` equals
     /// `value`.
     #[must_use]
@@ -307,8 +291,6 @@ mod tests {
         m.insert("words", Document::new().with("word", "dog").with("n", "2"));
         assert_eq!(m.count("words"), 2);
         assert_eq!(m.count("missing"), 0);
-        assert_eq!(m.total_inserts(), 2);
-        assert_eq!(m.collection_names(), vec!["words"]);
     }
 
     #[test]
@@ -343,7 +325,6 @@ mod tests {
             m.find_by("words", "word", "cat").unwrap().get("n"),
             Some("5")
         );
-        assert_eq!(m.total_inserts(), 3);
     }
 
     #[test]
@@ -367,7 +348,6 @@ mod tests {
             );
         }
         assert_eq!(a.collection("words"), b.collection("words"));
-        assert_eq!(a.total_inserts(), b.total_inserts());
         assert_eq!(
             a.find_by("words", "word", "cat").unwrap().get("n"),
             Some("3")

@@ -14,13 +14,9 @@ use tstorm_types::SimTime;
 /// Generates the payload for the `n`-th item of one producer.
 pub type ItemGenerator = Box<dyn FnMut(u64) -> String + Send>;
 
-/// Identifies a registered producer so it can be stopped later.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProducerHandle(usize);
-
 struct Producer {
-    /// Time the next item will be produced, `None` once stopped.
-    next_at: Option<SimTime>,
+    /// Time the next item will be produced.
+    next_at: SimTime,
     /// Virtual time between items (1 / rate).
     interval: SimTime,
     /// Items produced so far (generator argument).
@@ -81,36 +77,23 @@ impl RedisQueue {
     }
 
     /// Registers a producer that creates `rate` items per second starting
-    /// at `start`. Returns a handle that can stop the stream.
+    /// at `start`.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not positive and finite.
-    pub fn add_producer(
-        &mut self,
-        start: SimTime,
-        rate_per_sec: f64,
-        generator: ItemGenerator,
-    ) -> ProducerHandle {
+    pub fn add_producer(&mut self, start: SimTime, rate_per_sec: f64, generator: ItemGenerator) {
         assert!(
             rate_per_sec.is_finite() && rate_per_sec > 0.0,
             "producer rate must be positive, got {rate_per_sec}"
         );
         let interval = SimTime::from_secs_f64(1.0 / rate_per_sec).max(SimTime::from_micros(1));
         self.producers.push(Producer {
-            next_at: Some(start),
+            next_at: start,
             interval,
             produced: 0,
             generator,
         });
-        ProducerHandle(self.producers.len() - 1)
-    }
-
-    /// Stops a producer; items already due remain poppable.
-    pub fn stop_producer(&mut self, handle: ProducerHandle) {
-        if let Some(p) = self.producers.get_mut(handle.0) {
-            p.next_at = None;
-        }
     }
 
     /// Pushes one item directly (tests and replay paths).
@@ -125,10 +108,8 @@ impl RedisQueue {
         // Merge producer schedules by next production time.
         let mut heap: BinaryHeap<Reverse<(SimTime, usize)>> = BinaryHeap::new();
         for (i, p) in self.producers.iter().enumerate() {
-            if let Some(t) = p.next_at {
-                if t <= now {
-                    heap.push(Reverse((t, i)));
-                }
+            if p.next_at <= now {
+                heap.push(Reverse((p.next_at, i)));
             }
         }
         while let Some(Reverse((t, i))) = heap.pop() {
@@ -137,7 +118,7 @@ impl RedisQueue {
             p.produced += 1;
             self.ready.push_back(item);
             let next = t + p.interval;
-            p.next_at = Some(next);
+            p.next_at = next;
             if next <= now {
                 heap.push(Reverse((next, i)));
             }
@@ -174,15 +155,6 @@ impl RedisQueue {
     #[must_use]
     pub fn produced(&self) -> u64 {
         self.producers.iter().map(|p| p.produced).sum()
-    }
-
-    /// Number of currently active (non-stopped) producers.
-    #[must_use]
-    pub fn active_producers(&self) -> usize {
-        self.producers
-            .iter()
-            .filter(|p| p.next_at.is_some())
-            .count()
     }
 }
 
@@ -228,16 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn stopped_producer_stops_producing() {
-        let mut q = RedisQueue::new("q");
-        let h = q.add_producer(SimTime::ZERO, 10.0, Box::new(|n| n.to_string()));
-        assert_eq!(q.backlog(SimTime::from_millis(500)), 6); // t=0..500ms step 100
-        q.stop_producer(h);
-        assert_eq!(q.backlog(SimTime::from_secs(10)), 6);
-        assert_eq!(q.active_producers(), 0);
-    }
-
-    #[test]
     fn overload_injection_doubles_rate() {
         // The Fig. 9 scenario: a second identical stream starts later.
         let mut q = RedisQueue::new("q");
@@ -267,7 +229,7 @@ mod tests {
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_panics() {
         let mut q = RedisQueue::new("q");
-        let _ = q.add_producer(SimTime::ZERO, 0.0, Box::new(|n| n.to_string()));
+        q.add_producer(SimTime::ZERO, 0.0, Box::new(|n| n.to_string()));
     }
 
     #[test]

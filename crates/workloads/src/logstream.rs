@@ -103,18 +103,13 @@ impl LogStreamState {
     /// Attaches a LogStash-style producer pushing `lines_per_sec` IIS log
     /// lines starting at `start`. Call twice for the Fig. 10 overload
     /// ("feeding 2 streams of IIS log files into the same Redis queue").
-    pub fn attach_log_producer(
-        &self,
-        start: SimTime,
-        lines_per_sec: f64,
-        seed: u64,
-    ) -> tstorm_substrates::ProducerHandle {
+    pub fn attach_log_producer(&self, start: SimTime, lines_per_sec: f64, seed: u64) {
         let mut generator = IisLogGenerator::new(seed);
         self.queue.lock().unwrap().add_producer(
             start,
             lines_per_sec,
             Box::new(move |_| generator.next_json()),
-        )
+        );
     }
 }
 

@@ -16,7 +16,7 @@ use crate::logic::{
 };
 use std::sync::{Arc, Mutex};
 use tstorm_sim::ExecutorLogic;
-use tstorm_substrates::{CorpusReader, MongoStore, RedisQueue, ZipfCorpus};
+use tstorm_substrates::{CorpusReader, MongoStore, RedisQueue};
 use tstorm_topology::{
     ComponentKind, ComponentSpec, CostProfile, Grouping, Topology, TopologyBuilder,
 };
@@ -98,34 +98,13 @@ impl WordCountState {
     /// Attaches a corpus producer pushing `lines_per_sec` lines starting
     /// at `start` — the paper's file pusher. Call twice to reproduce the
     /// Fig. 9 "two concurrent streams" overload.
-    pub fn attach_corpus_producer(
-        &self,
-        start: SimTime,
-        lines_per_sec: f64,
-    ) -> tstorm_substrates::ProducerHandle {
+    pub fn attach_corpus_producer(&self, start: SimTime, lines_per_sec: f64) {
         let mut corpus = CorpusReader::alice();
         self.queue.lock().unwrap().add_producer(
             start,
             lines_per_sec,
             Box::new(move |_| corpus.next_line().to_owned()),
-        )
-    }
-
-    /// Attaches a synthetic Zipfian producer — scale testing beyond the
-    /// embedded excerpt with a configurable vocabulary.
-    pub fn attach_zipf_producer(
-        &self,
-        start: SimTime,
-        lines_per_sec: f64,
-        vocabulary: usize,
-        seed: u64,
-    ) -> tstorm_substrates::ProducerHandle {
-        let mut corpus = ZipfCorpus::new(vocabulary, 10, seed);
-        self.queue.lock().unwrap().add_producer(
-            start,
-            lines_per_sec,
-            Box::new(move |_| corpus.next_line()),
-        )
+        );
     }
 }
 
@@ -267,37 +246,5 @@ mod tests {
     #[test]
     fn overload_params_start_on_one_worker() {
         assert_eq!(WordCountParams::overload().workers, 1);
-    }
-
-    #[test]
-    fn zipf_producer_feeds_the_pipeline() {
-        let p = WordCountParams {
-            readers: 1,
-            splitters: 2,
-            counters: 2,
-            mongos: 2,
-            ackers: 1,
-            workers: 1,
-            emit_interval_ms: 5,
-        };
-        let t = topology(&p).expect("valid");
-        let state = WordCountState::new();
-        state.attach_zipf_producer(SimTime::ZERO, 50.0, 5_000, 17);
-        let cluster = ClusterSpec::homogeneous(1, 2, Mhz::new(8000.0)).unwrap();
-        let mut sim = Simulation::new(cluster, SimConfig::default());
-        let mut f = factory(&state);
-        sim.submit_topology(&t, &mut f);
-        let a: Assignment = sim
-            .executor_descriptors()
-            .into_iter()
-            .map(|d| (d.id, SlotId::new(0)))
-            .collect();
-        sim.apply_assignment(&a);
-        sim.run_until(SimTime::from_secs(20));
-        assert!(sim.completed() > 300, "completed {}", sim.completed());
-        // The Zipf head word dominates the store.
-        let store = state.store.lock().unwrap();
-        assert!(store.count("words") > 100);
-        assert!(store.find_by("words", "word", "w00000").is_some());
     }
 }
