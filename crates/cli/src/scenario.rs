@@ -126,6 +126,9 @@ pub struct ScenarioOutcome {
     pub control: tstorm_core::ControlStats,
     /// Critical-path summary tables (`--spans`).
     pub spans_summary: Option<String>,
+    /// Critical-path grand totals (`--spans`), with the count of roots
+    /// whose path did not sum to their latency, which the tables omit.
+    pub span_totals: Option<tstorm_trace::PathTotals>,
     /// Rendered scheduler decision records (`--explain`).
     pub explanations: Option<String>,
     /// Lines the flight recorder wrote (`--flight-recorder`).
@@ -287,6 +290,7 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
             .simulation()
             .spans()
             .map(tstorm_trace::CriticalPathCollector::render_summary),
+        span_totals: system.simulation().spans().map(|s| *s.totals()),
         explanations: opts.explain.then(|| render_explanations(&system)),
         recorder_lines,
     })
