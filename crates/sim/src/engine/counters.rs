@@ -295,9 +295,9 @@ pub struct EngineStats {
     pub pool_hits: u64,
     /// Transfer boxes that had to be freshly allocated.
     pub pool_misses: u64,
-    /// Deep payload clones avoided by
-    /// [`SharedValues`](tstorm_topology::SharedValues) sharing — one per
-    /// routed data envelope (each previously cloned the full value vector).
+    /// Payload copies avoided by the engine's payload store — one per
+    /// routed data envelope, which holds its emit's one stored payload
+    /// where it once cloned the full value vector.
     pub payload_clones_avoided: u64,
     /// Largest number of events ever pending in the event queue.
     pub queue_high_water: u64,
@@ -330,7 +330,7 @@ impl EngineStats {
     }
 
     /// Heap allocations avoided on the tuple hot path: pooled envelope
-    /// boxes plus payload clones replaced by refcount bumps.
+    /// boxes plus payload copies replaced by holder counts.
     #[must_use]
     pub fn allocations_avoided(&self) -> u64 {
         self.pool_hits + self.payload_clones_avoided

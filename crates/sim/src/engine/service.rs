@@ -5,7 +5,6 @@
 use super::{BusyWork, Simulation};
 use crate::event::{EnvelopeKind, Event};
 use crate::logic::ExecutorLogic;
-use tstorm_topology::{SharedValues, Value};
 use tstorm_trace::{SpanSeg, TraceEvent, NO_SPAN};
 use tstorm_types::{ExecutorId, NodeId, SimTime, TupleId};
 
@@ -43,26 +42,27 @@ impl Simulation {
             self.schedule_tick(id, halt);
             return;
         }
-        // Fetch a payload: replays first, then the source.
-        let payload = if let Some((values, replays, queued_at)) =
+        // Fetch a payload: replays first, then the source. Either way
+        // the emission in service holds it.
+        let fetched = if let Some((payload, replays, queued_at)) =
             self.executors[idx].replay_queue.pop_front()
         {
-            Some((values, replays, Some(queued_at)))
+            Some((payload, replays, Some(queued_at)))
         } else {
             let now = self.clock;
             match &mut self.executors[idx].logic {
-                ExecutorLogic::Spout(s) => {
-                    s.next_tuple(now).map(|v| (SharedValues::from(v), 0, None))
-                }
+                ExecutorLogic::Spout(s) => s
+                    .next_tuple(now)
+                    .map(|v| (self.payloads.insert(v), 0, None)),
                 _ => None,
             }
         };
-        let Some((values, replays, replay_queued_at)) = payload else {
+        let Some((payload, replays, replay_queued_at)) = fetched else {
             self.schedule_tick(id, self.clock + self.config.spout_idle_retry);
             return;
         };
         self.executors[idx].last_tick = self.clock;
-        let bytes: u64 = values.iter().map(Value::payload_bytes).sum();
+        let bytes = self.payloads.bytes(payload);
         let cost = self.executors[idx].cost;
         let cycles =
             cost.cycles_per_tuple + cost.cycles_per_emit + cost.cycles_per_input_byte * bytes;
@@ -72,7 +72,7 @@ impl Simulation {
         self.counters.add_cycles(idx, cycles);
         // The root is created at completion time (see on_process_done).
         let mut outputs = self.outputs_pool.pop().unwrap_or_default();
-        outputs.push(values);
+        outputs.push(payload);
         self.executors[idx].busy = Some(BusyWork {
             env: None,
             outputs,
@@ -116,13 +116,15 @@ impl Simulation {
                 executor: idx as u32,
             });
         }
-        let mut outputs: Vec<SharedValues> = self.outputs_pool.pop().unwrap_or_default();
+        let mut outputs = self.outputs_pool.pop().unwrap_or_default();
         if env.kind == EnvelopeKind::Data {
             if let ExecutorLogic::Bolt(b) = &mut self.executors[idx].logic {
-                b.execute(&env.values, &mut |v| outputs.push(SharedValues::from(v)));
+                let emits = &mut self.emit_scratch;
+                b.execute(self.payloads.values(env.payload), &mut |v| emits.push(v));
+                outputs.extend(self.emit_scratch.drain(..).map(|v| self.payloads.insert(v)));
             }
         }
-        let in_bytes: u64 = env.values.iter().map(Value::payload_bytes).sum();
+        let in_bytes = self.payloads.bytes(env.payload);
         let cost = self.executors[idx].cost;
         let cycles = cost.cycles_per_tuple
             + cost.cycles_per_input_byte * in_bytes
@@ -190,6 +192,7 @@ impl Simulation {
                     NO_SPAN
                 };
                 self.finish_message(id, &env, work.outputs, span);
+                self.payloads.release(env.payload);
                 self.recycle_envelope(env);
             }
         }

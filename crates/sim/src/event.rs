@@ -38,22 +38,23 @@
 
 use std::collections::VecDeque;
 
+use crate::engine::PayloadId;
 use crate::fault::FaultKind;
-use tstorm_topology::SharedValues;
 use tstorm_types::{ExecutorId, NodeId, SimTime, SlabHandle, TupleId};
 
 /// Routing/acking metadata carried by every in-flight message.
 ///
 /// Envelopes are heap-boxed once and recycled through the engine's
-/// free-list pool; the payload is a [`SharedValues`] (`Arc<[Value]>`) so
-/// fan-out (one emit delivered to many consumer tasks) bumps a refcount
-/// instead of deep-cloning the values per destination, and envelopes may
-/// cross thread boundaries.
-#[derive(Debug, Clone)]
+/// free-list pool. The payload stays in the engine's payload store:
+/// fan-out (one emit delivered to many consumer tasks) counts one more
+/// holder of the emit's slot instead of copying the values per
+/// destination. Not `Clone`: a copy would hold the payload uncounted.
+#[derive(Debug)]
 pub struct Envelope {
-    /// Tuple payload (empty for acker control messages), shared across
-    /// every destination of the same emit.
-    pub values: SharedValues,
+    /// Tuple payload, one holder of the emit's slot shared by every
+    /// destination of the same emit; [`PayloadId::EMPTY`] for acker
+    /// control messages.
+    pub payload: PayloadId,
     /// Producing executor.
     pub src: ExecutorId,
     /// Consuming executor.

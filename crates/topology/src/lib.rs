@@ -45,4 +45,4 @@ pub use component::{ComponentKind, ComponentSpec, CostProfile};
 pub use grouping::Grouping;
 pub use plan::{ExecutionPlan, ExecutorSpec, TaskSpec};
 pub use topology::{StreamEdge, Topology, ACKER_COMPONENT};
-pub use value::{Fields, SharedValues, Value};
+pub use value::{Fields, Value};

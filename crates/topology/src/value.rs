@@ -10,13 +10,6 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A shared, immutable tuple payload: the values of one emit, shared by
-/// every envelope fanned out from it (and by the replay copy a spout
-/// retains). Atomically reference-counted so payloads may cross worker
-/// threads — the engine's `Send` contract rides on this alias being the
-/// *only* payload-sharing type on the hot path.
-pub type SharedValues = Arc<[Value]>;
-
 /// One value inside a tuple.
 ///
 /// The variants cover what the paper's three applications need: strings
