@@ -121,6 +121,7 @@ pub fn render_prometheus(system: &TStormSystem) -> String {
             .node_cpu_sample()
             .into_iter()
             .flatten()
+            .enumerate()
             .map(|(node, ratio)| (node.to_string(), *ratio)),
     );
     counter(

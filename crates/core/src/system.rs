@@ -108,10 +108,10 @@ pub struct TStormSystem {
     recovery_events: u32,
     /// Solve runtimes per algorithm name.
     solve_times: BTreeMap<&'static str, SolveTimes>,
-    /// Each node's estimated CPU load at the latest monitor tick that
-    /// placed executors on it; `None` unless
-    /// [`TStormSystem::sample_gauges`] asked for it.
-    node_cpu_sample: Option<BTreeMap<u32, f64>>,
+    /// Each node's estimated CPU load at the latest monitor tick,
+    /// indexed by node; `None` unless [`TStormSystem::sample_gauges`]
+    /// asked for it.
+    node_cpu_sample: Option<Vec<f64>>,
     timeline: Vec<ControlEvent>,
     /// Every explanation captured this run: (store epoch, when,
     /// records). Epoch 0 marks schedules that bypassed the store (the
@@ -212,7 +212,7 @@ impl TStormSystem {
     /// since both walk the whole cluster on every round.
     pub fn sample_gauges(&mut self) {
         self.sim.sample_queue_depths();
-        self.node_cpu_sample.get_or_insert_with(BTreeMap::new);
+        self.node_cpu_sample.get_or_insert_with(Vec::new);
     }
 
     /// Enables span collection and critical-path analysis in the data
@@ -326,10 +326,7 @@ impl TStormSystem {
 
         let utilisations = self.node_utilisations();
         let nodes = array(self.cluster.nodes(), |out, node| {
-            let cpu = utilisations
-                .iter()
-                .find(|(n, _)| *n == node.id.index())
-                .map_or(0.0, |(_, u)| *u);
+            let cpu = utilisations[node.id.as_usize()];
             let mut o = ObjectWriter::new();
             o.str("id", &node.id.to_string())
                 .f64("cpu", cpu)
@@ -549,9 +546,8 @@ impl TStormSystem {
         if self.recorder.is_some() {
             self.record_window(&counters);
         }
-        if let Some(mut sample) = self.node_cpu_sample.take() {
-            sample.extend(self.node_utilisations());
-            self.node_cpu_sample = Some(sample);
+        if self.node_cpu_sample.is_some() {
+            self.node_cpu_sample = Some(self.node_utilisations());
         }
 
         self.sweep_liveness()?;
@@ -587,11 +583,8 @@ impl TStormSystem {
         if self.sim.tracing() {
             let utilisations = self.node_utilisations();
             for node in &report.cpu_overloaded {
+                let utilisation = utilisations[node.as_usize()];
                 let node = node.index();
-                let utilisation = utilisations
-                    .iter()
-                    .find(|(n, _)| *n == node)
-                    .map_or(0.0, |(_, u)| *u);
                 self.sim
                     .emit_trace(|| TraceEvent::OverloadDetected { node, utilisation });
             }
@@ -841,20 +834,20 @@ impl TStormSystem {
         self.monitor.db_mut().retain_executors(&alive);
     }
 
-    /// Estimated per-node CPU load as a fraction of capacity, from the
-    /// EWMA database under the assignment currently in force (same
-    /// aggregation as [`OverloadDetector::inspect`]).
-    fn node_utilisations(&self) -> Vec<(u32, f64)> {
+    /// Estimated CPU load of every cluster node as a fraction of
+    /// capacity, indexed by node, from the EWMA database under the
+    /// assignment currently in force (same aggregation as
+    /// [`OverloadDetector::inspect`]); 0 for a node it leaves empty.
+    fn node_utilisations(&self) -> Vec<f64> {
         let loads = self.monitor.db().executor_loads();
-        let mut per_node: BTreeMap<u32, f64> = BTreeMap::new();
+        let mut per_node = vec![0.0; self.cluster.num_nodes()];
         for (exec, slot) in self.sim.current_assignment().iter() {
             if let Some(load) = loads.get(&exec) {
                 let node = self.cluster.node_of(slot);
-                *per_node.entry(node.index()).or_insert(0.0) +=
-                    load.ratio(self.cluster.node(node).capacity);
+                per_node[node.as_usize()] += load.ratio(self.cluster.node(node).capacity);
             }
         }
-        per_node.into_iter().collect()
+        per_node
     }
 
     fn scheduling_input(&self) -> SchedulingInput {
@@ -1107,12 +1100,13 @@ impl TStormSystem {
         &self.solve_times
     }
 
-    /// Each node's estimated CPU load as a fraction of capacity, at the
-    /// latest monitor tick that placed executors on it; `None` unless
+    /// Each cluster node's estimated CPU load as a fraction of capacity
+    /// at the latest monitor tick, indexed by node: 0 for a node the
+    /// running assignment left empty. `None` unless
     /// [`TStormSystem::sample_gauges`] asked for it.
     #[must_use]
-    pub fn node_cpu_sample(&self) -> Option<&BTreeMap<u32, f64>> {
-        self.node_cpu_sample.as_ref()
+    pub fn node_cpu_sample(&self) -> Option<&[f64]> {
+        self.node_cpu_sample.as_deref()
     }
 
     /// The metrics report of this run.
