@@ -2,12 +2,12 @@
 //! byte-identical JSONL traces, with and without a fault plan.
 //!
 //! The tuple-level engine routes every event through pooled envelopes,
-//! shared `Arc<[Value]>` payloads, a generational root slab and a 4-ary
-//! event queue; none of those structures may influence *what* is
-//! emitted, in *which order*, with *which ids*. Running the same scenario
-//! twice and comparing raw trace bytes pins that contract: any
-//! reordering, id drift or RNG divergence introduced by a future
-//! optimisation shows up as a byte diff here.
+//! payloads held in counted slots of one store, a generational root
+//! slab and a three-lane event queue; none of those structures may
+//! influence *what* is emitted, in *which order*, with *which ids*.
+//! Running the same scenario twice and comparing raw trace bytes pins
+//! that contract: any reordering, id drift or RNG divergence introduced
+//! by a future optimisation shows up as a byte diff here.
 
 use tstorm_cli::args::RunOptions;
 use tstorm_cli::scenario::{run_scenario, Topology};
