@@ -392,13 +392,22 @@ impl Simulation {
         self.emitted
     }
 
-    /// Tuples dropped undelivered by routine relocation: a Storm-mode
-    /// rollout killed their worker, or an endpoint was unplaced while no
-    /// fault had fired. Crash losses count in
+    /// Tuples dropped undelivered by routine relocation or a kill: a
+    /// Storm-mode rollout or [`Simulation::kill_topology`] stopped their
+    /// worker while they were queued or in service, or an endpoint was
+    /// unplaced while no fault had fired. Crash losses count in
     /// [`Simulation::tuples_lost`] instead.
     #[must_use]
     pub fn dropped_in_flight(&self) -> u64 {
         self.dropped_in_flight
+    }
+
+    /// Pending roots that [`Simulation::kill_topology`] forgot without
+    /// failing them. After a kill, `emitted == completed + failed +
+    /// in_flight + forgotten` still holds.
+    #[must_use]
+    pub fn forgotten(&self) -> u64 {
+        self.forgotten
     }
 
     /// Input-queue depth of every executor — the backlog signal queue

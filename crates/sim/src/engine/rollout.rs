@@ -192,16 +192,18 @@ impl Simulation {
     /// Kills a topology: "a Storm 'job' continues on forever, unless it
     /// is killed by its user" (Section II). Its executors stop
     /// immediately, their queues and replay queues are dropped,
-    /// in-flight tuples are discarded (their pending roots are forgotten
-    /// without counting as failures), and their slots are freed for
-    /// other topologies.
+    /// in-flight tuples are discarded (counted in
+    /// [`Simulation::dropped_in_flight`]; their pending roots are
+    /// forgotten without counting as failures, see
+    /// [`Simulation::forgotten`]), and their slots are freed for other
+    /// topologies.
     pub fn kill_topology(&mut self, topology: TopologyId) {
         let topo_idx = topology.as_usize();
         for i in 0..self.executors.len() {
             if self.executors[i].topo_idx != topo_idx {
                 continue;
             }
-            self.stop_executor(i);
+            self.dropped_in_flight += self.stop_executor(i);
             for (payload, ..) in std::mem::take(&mut self.executors[i].replay_queue) {
                 self.payloads.release(payload);
             }
@@ -217,6 +219,7 @@ impl Simulation {
             .filter(|(_, r)| self.executors[r.spout.as_usize()].topo_idx == topo_idx)
             .map(|(h, _)| h)
             .collect();
+        self.forgotten += dead.len() as u64;
         for h in dead {
             if let Some(root) = self.roots.remove(h) {
                 self.payloads.release(root.payload);
@@ -287,7 +290,7 @@ impl Simulation {
                 || new_slot.is_some_and(|s| diff.changed_slots.contains(&s));
             self.placement[i].slot = new_slot;
             if affected {
-                self.stop_executor(i);
+                self.dropped_in_flight += self.stop_executor(i);
                 if new_slot.is_some() {
                     self.executors[i].paused_until = Some(ready_at);
                     self.queue.push(ready_at, Event::ExecutorResume(id));

@@ -363,7 +363,7 @@ fn immediate_reassignment_drops_in_flight_work() {
     assert_eq!(sim.reassignments(), 1);
     // Some messages/queued tuples are lost; the roots time out.
     assert!(
-        sim.dropped_in_flight() > 0 || sim.failed() > 0,
+        sim.dropped_in_flight() > 0,
         "immediate mode should lose work (dropped {}, failed {})",
         sim.dropped_in_flight(),
         sim.failed()
