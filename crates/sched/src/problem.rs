@@ -151,6 +151,12 @@ impl TrafficMatrix {
         self.entries.iter().copied()
     }
 
+    /// The `(from, to, rate)` entries, strictly increasing in
+    /// `(from, to)`.
+    pub(crate) fn entries(&self) -> &[(ExecutorId, ExecutorId, f64)] {
+        &self.entries
+    }
+
     /// All undirected neighbours of one executor with positive traffic,
     /// as `(other, undirected_rate)`.
     #[must_use]
@@ -300,7 +306,7 @@ impl<'a> Adjacency<'a> {
     /// Bounds the outgoing rows and builds the incoming index with one
     /// counting and one filling walk over the matrix.
     pub(crate) fn build(input: &'a SchedulingInput) -> Self {
-        let entries = input.traffic.entries.as_slice();
+        let entries = input.traffic.entries();
         // Matrix indexes are held as `u32`.
         assert!(
             u32::try_from(entries.len()).is_ok(),
@@ -352,22 +358,6 @@ impl<'a> Adjacency<'a> {
             offsets,
             incoming,
         }
-    }
-
-    /// Each position's row total: its row's rates added in row order,
-    /// a self-pair twice. One walk over the matrix in key order visits
-    /// every row's entries in that order.
-    pub(crate) fn totals(&self) -> Vec<f64> {
-        let mut totals = vec![0.0; self.outgoing.len()];
-        for &(from, to, rate) in self.entries {
-            for id in [from, to] {
-                let p = position(&self.positions, id);
-                if p != Self::OUTSIDE {
-                    totals[p as usize] += rate;
-                }
-            }
-        }
-        totals
     }
 
     /// The row of the executor at position `pos`.

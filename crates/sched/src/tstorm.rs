@@ -27,23 +27,27 @@
 //! [`TStormScheduler::relaxations`].
 //!
 //! Complexity: sorting is `O(Ne log Ne)`; the assignment loop is
-//! `O(Ne·Ns)` plus `O(|traffic|)` total for incremental cost maintenance —
-//! matching the paper's `O(Ne log Ne + Ne·Ns)`.
+//! `O(Ne·Ns)`, plus a sort of each executor's entries with the
+//! executors placed before it — `O(|traffic| log d)` in total for a
+//! largest degree `d` — on top of the paper's `O(Ne log Ne + Ne·Ns)`.
 //!
-//! The traffic is read through the input's adjacency, which stores each
-//! pair once (see [`crate::problem`]): the line-2 totals take one walk
-//! over the matrix, and each placement walks the placed executor's row
-//! and adds its traffic to the per-node costs of its unplaced
-//! neighbours.
+//! Costs are summed lazily. Line 2's order is fixed before the first
+//! placement, so an executor's turn needs only its traffic to the
+//! executors ranked before it: its outgoing entries, which are its own
+//! run of the matrix, and the incoming entries whose sender ranks
+//! earlier, the only entries the solve indexes. The turn adds them per
+//! node and in total by the neighbour's rank, then by matrix index:
+//! the order in which updating every unplaced neighbour at each
+//! placement would add them, so each cost repeats that update's bits.
 //!
 //! Every [`Scheduler::schedule`] call runs that one pass from scratch:
 //! the scheduler keeps nothing between calls but its explain flag.
 
 use crate::explain::{PlacementDecision, ScheduleExplanation};
-use crate::problem::{Adjacency, SchedulingInput};
+use crate::problem::SchedulingInput;
 use crate::Scheduler;
 use tstorm_cluster::Assignment;
-use tstorm_types::{Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
+use tstorm_types::{ExecutorId, Mhz, NodeId, Result, SlotId, TStormError, TopologyId};
 
 /// The traffic-aware greedy scheduler (Algorithm 1).
 #[derive(Debug, Clone, Default)]
@@ -76,18 +80,32 @@ impl TStormScheduler {
     }
 }
 
-/// Internal per-schedule working state, indexed by executor position
-/// in the input and by node index.
+/// The rank of an executor id the input does not hold.
+const UNRANKED: u32 = u32::MAX;
+
+/// Internal per-schedule working state, indexed by placement rank (the
+/// executor's place in line 2's order), by slot and by node index.
 struct State<'a> {
     input: &'a SchedulingInput,
-    /// Undirected adjacency. Built once so cost maintenance is
-    /// O(degree) per placement, keeping the whole loop within the
-    /// paper's O(Ne log Ne + Ne·Ns) plus O(|traffic|).
-    adjacency: Adjacency<'a>,
+    /// The matrix's entries, strictly increasing in `(from, to)`.
+    entries: &'a [(ExecutorId, ExecutorId, f64)],
+    /// Each executor's total traffic, by position in the input.
+    totals: Vec<f64>,
+    /// Line 2's order: the position of each rank's executor.
+    order: Vec<usize>,
+    /// Each executor id's rank, or [`UNRANKED`].
+    rank_by_id: Vec<u32>,
+    /// The node index of each rank placed so far.
+    node_by_rank: Vec<u32>,
+    /// Rank `r`'s outgoing entries are
+    /// `entries[outgoing[r].0..outgoing[r].1]`.
+    outgoing: Vec<(u32, u32)>,
+    /// Rank `r`'s incoming entries from lower ranks are the matrix
+    /// indexes `earlier[offsets[r]..offsets[r + 1]]`, ascending.
+    offsets: Vec<usize>,
+    earlier: Vec<u32>,
     /// Topology owning each slot, if any.
     slot_topology: Vec<Option<TopologyId>>,
-    /// Number of executors in each slot.
-    slot_count: Vec<usize>,
     /// Load currently assigned to each node.
     node_load: Vec<Mhz>,
     /// Executor count on each node.
@@ -96,16 +114,13 @@ struct State<'a> {
     /// most one per topology (constraint 1), so a list no longer than
     /// the node's slot count.
     node_topo_slot: Vec<Vec<(TopologyId, SlotId)>>,
-    /// Traffic from each executor to already-assigned executors, per
-    /// node: node-major, executor `p`'s traffic to node `k` at
-    /// `node_traffic[k][p]`, so one placement's updates fall in one
-    /// node's row. A row is allocated when its node receives its first
-    /// executor; until then every executor's traffic to it is 0.
-    node_traffic: Vec<Vec<f64>>,
-    /// Total traffic from each executor to already-assigned executors.
-    assigned_traffic: Vec<f64>,
-    /// Whether the executor at each position is placed.
-    placed: Vec<bool>,
+    /// The current turn's traffic to placed executors, per node and in
+    /// total.
+    to_node: Vec<f64>,
+    to_placed: f64,
+    /// The current turn's placed-neighbour entries, each as
+    /// `rank << 32 | matrix index`.
+    gather: Vec<u64>,
 }
 
 /// How strictly constraints are enforced while searching for a slot.
@@ -120,21 +135,126 @@ enum Strictness {
 }
 
 impl<'a> State<'a> {
+    /// Ranks the executors (line 2) and indexes each rank's outgoing
+    /// entries and its incoming entries from lower ranks: one walk over
+    /// the matrix for the totals, one over its senders' runs, and a
+    /// counting and a filling walk for the index.
     fn new(input: &'a SchedulingInput) -> Self {
-        let ns = input.cluster.num_slots();
-        let k = input.cluster.num_nodes();
+        let entries = input.traffic.entries();
+        // Matrix indexes are held as `u32`.
+        assert!(
+            u32::try_from(entries.len()).is_ok(),
+            "fewer than 2^32 traffic entries"
+        );
         let n = input.executors.len();
+        // Indexed by id, the table first holds positions, then ranks.
+        // Ids are minted densely, so it is about as long as the input.
+        let ids = input.executors.iter().map(|e| e.id.as_usize() + 1).max();
+        let mut rank_by_id = vec![UNRANKED; ids.unwrap_or(0)];
+        for (p, e) in input.executors.iter().enumerate() {
+            rank_by_id[e.id.as_usize()] = u32::try_from(p).expect("fewer than 2^32 executors");
+        }
+        // A total adds every entry touching the executor in key order,
+        // a self-pair twice.
+        let mut totals = vec![0.0; n];
+        for &(from, to, rate) in entries {
+            for id in [from, to] {
+                let p = lookup(&rank_by_id, id);
+                if p != UNRANKED {
+                    totals[p as usize] += rate;
+                }
+            }
+        }
+        // Line 2: sort by total traffic, descending; ties by id for
+        // determinism.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| {
+            totals[b]
+                .partial_cmp(&totals[a])
+                .expect("traffic totals are finite")
+                .then(input.executors[a].id.cmp(&input.executors[b].id))
+        });
+        for (r, &p) in order.iter().enumerate() {
+            rank_by_id[input.executors[p].id.as_usize()] = r as u32;
+        }
+        let rank = |id| lookup(&rank_by_id, id);
+        let mut outgoing = vec![(0, 0); n];
+        let mut start = 0;
+        for run in entries.chunk_by(|a, b| a.0 == b.0) {
+            let end = start + run.len();
+            let r = rank(run[0].0);
+            if r != UNRANKED {
+                outgoing[r as usize] = (start as u32, end as u32);
+            }
+            start = end;
+        }
+        // The receiver's rank of an entry whose sender ranks lower.
+        let earlier_sender = |&(from, to, _): &(ExecutorId, ExecutorId, f64)| {
+            let r = rank(to);
+            (r != UNRANKED && rank(from) < r).then_some(r as usize)
+        };
+        // Each rank's count, summed to its list's end; the backward
+        // filling walk then leaves each list ascending and each offset
+        // at its list's start.
+        let mut offsets = vec![0usize; n + 1];
+        for r in entries.iter().filter_map(earlier_sender) {
+            offsets[r] += 1;
+        }
+        for r in 1..=n {
+            offsets[r] += offsets[r - 1];
+        }
+        let mut earlier = vec![0u32; offsets[n]];
+        for (i, entry) in entries.iter().enumerate().rev() {
+            if let Some(r) = earlier_sender(entry) {
+                offsets[r] -= 1;
+                earlier[offsets[r]] = i as u32;
+            }
+        }
+        let k = input.cluster.num_nodes();
         Self {
             input,
-            adjacency: Adjacency::build(input),
-            slot_topology: vec![None; ns],
-            slot_count: vec![0; ns],
+            entries,
+            totals,
+            order,
+            rank_by_id,
+            node_by_rank: Vec::with_capacity(n),
+            outgoing,
+            offsets,
+            earlier,
+            slot_topology: vec![None; input.cluster.num_slots()],
             node_load: vec![Mhz::ZERO; k],
             node_count: vec![0; k],
             node_topo_slot: vec![Vec::new(); k],
-            node_traffic: vec![Vec::new(); k],
-            assigned_traffic: vec![0.0; n],
-            placed: vec![false; n],
+            to_node: vec![0.0; k],
+            to_placed: 0.0,
+            gather: Vec::new(),
+        }
+    }
+
+    /// Sums the traffic between the executor of `rank` and every
+    /// executor placed before it, per node into `to_node` and in total
+    /// into `to_placed`. The entries are added by the placed
+    /// neighbour's rank, then by matrix index.
+    fn sum_placed_traffic(&mut self, rank: usize) {
+        let (start, end) = self.outgoing[rank];
+        self.gather.clear();
+        for i in start..end {
+            let r = lookup(&self.rank_by_id, self.entries[i as usize].1);
+            if (r as usize) < rank {
+                self.gather.push(u64::from(r) << 32 | u64::from(i));
+            }
+        }
+        for &i in &self.earlier[self.offsets[rank]..self.offsets[rank + 1]] {
+            let r = lookup(&self.rank_by_id, self.entries[i as usize].0);
+            self.gather.push(u64::from(r) << 32 | u64::from(i));
+        }
+        self.gather.sort_unstable();
+        self.to_node.fill(0.0);
+        self.to_placed = 0.0;
+        for &g in &self.gather {
+            let rate = self.entries[g as u32 as usize].2;
+            self.to_node[self.node_by_rank[(g >> 32) as usize] as usize] += rate;
+            self.to_placed += rate;
         }
     }
 
@@ -176,46 +296,31 @@ impl<'a> State<'a> {
         self.node_load[node_idx] + load <= cap
     }
 
-    /// Incremental inter-node traffic of placing the executor at
-    /// position `pos` on `node` (Algorithm 1 line 5): traffic to
-    /// assigned executors on all *other* nodes.
-    fn placement_cost(&self, pos: usize, node: NodeId) -> f64 {
-        let total = self.assigned_traffic[pos];
-        let local = self.node_traffic[node.as_usize()]
-            .get(pos)
-            .copied()
-            .unwrap_or(0.0);
-        total - local
+    /// Incremental inter-node traffic of placing the current turn's
+    /// executor on `node` (Algorithm 1 line 5): traffic to assigned
+    /// executors on all *other* nodes.
+    fn placement_cost(&self, node: NodeId) -> f64 {
+        self.to_placed - self.to_node[node.as_usize()]
     }
 
-    fn place(&mut self, pos: usize, load: Mhz, topology: TopologyId, slot: SlotId) {
-        let j = slot.as_usize();
+    /// Places the executor of the next rank.
+    fn place(&mut self, load: Mhz, topology: TopologyId, slot: SlotId) {
         let k = self.input.cluster.node_of(slot).as_usize();
-        let n = self.placed.len();
-        self.slot_topology[j] = Some(topology);
-        self.slot_count[j] += 1;
+        self.slot_topology[slot.as_usize()] = Some(topology);
         self.node_load[k] += load;
         self.node_count[k] += 1;
         let opened = &mut self.node_topo_slot[k];
         if !opened.iter().any(|(t, _)| *t == topology) {
             opened.push((topology, slot));
         }
-        self.placed[pos] = true;
-        // Incremental cost maintenance: every unplaced neighbour of the
-        // newly placed executor now sees its traffic to `node`
-        // increase. A placed one's costs are never read again.
-        let to_node = &mut self.node_traffic[k];
-        if to_node.is_empty() {
-            to_node.resize(n, 0.0);
-        }
-        for nb in self.adjacency.row(pos) {
-            let other = nb.pos as usize;
-            if nb.pos != Adjacency::OUTSIDE && !self.placed[other] {
-                to_node[other] += nb.rate;
-                self.assigned_traffic[other] += nb.rate;
-            }
-        }
+        self.node_by_rank.push(k as u32);
     }
+}
+
+/// The entry for executor `id` in a table indexed by id, or
+/// [`UNRANKED`].
+fn lookup(table: &[u32], id: ExecutorId) -> u32 {
+    table.get(id.as_usize()).copied().unwrap_or(UNRANKED)
 }
 
 impl Scheduler for TStormScheduler {
@@ -237,22 +342,11 @@ impl Scheduler for TStormScheduler {
         let mut explanation = self.explain.then(|| ScheduleExplanation::new(self.name()));
         let cap_count = input.node_executor_cap();
         let mut state = State::new(input);
-
-        // Line 2: sort by total traffic, descending; ties by id for
-        // determinism. Totals come from the prebuilt adjacency (one pass
-        // over the traffic matrix, not one scan per executor).
-        let mut order: Vec<usize> = (0..input.executors.len()).collect();
-        let totals = state.adjacency.totals();
-        order.sort_by(|&a, &b| {
-            totals[b]
-                .partial_cmp(&totals[a])
-                .expect("traffic totals are finite")
-                .then(input.executors[a].id.cmp(&input.executors[b].id))
-        });
-
         let mut assignment = Assignment::new();
-        for &idx in &order {
+        for rank in 0..input.executors.len() {
+            let idx = state.order[rank];
             let info = &input.executors[idx];
+            state.sum_placed_traffic(rank);
             let mut chosen: Option<Candidate> = None;
             let mut relaxation: Option<String> = None;
             for strictness in [
@@ -260,7 +354,7 @@ impl Scheduler for TStormScheduler {
                 Strictness::NoCap,
                 Strictness::StructuralOnly,
             ] {
-                chosen = best_slot(&state, idx, info.topology, info.load, cap_count, strictness);
+                chosen = best_slot(&state, info.topology, info.load, cap_count, strictness);
                 if chosen.is_some() {
                     match strictness {
                         Strictness::Full => {}
@@ -294,7 +388,7 @@ impl Scheduler for TStormScheduler {
                     node: input.cluster.node_of(candidate.slot),
                     load_mhz: info.load.get(),
                     // `+ 0.0` normalizes -0.0 for serialization.
-                    traffic_total: totals[idx] + 0.0,
+                    traffic_total: state.totals[idx] + 0.0,
                     objective_delta: candidate.cost + 0.0,
                     tie_break: if candidate.fresh_node {
                         "min incremental inter-node cost; opened a fresh node".to_owned()
@@ -305,7 +399,7 @@ impl Scheduler for TStormScheduler {
                     relaxation,
                 });
             }
-            state.place(idx, info.load, info.topology, candidate.slot);
+            state.place(info.load, info.topology, candidate.slot);
             assignment.assign(info.id, candidate.slot);
         }
         if let Some(mut explanation) = explanation.take() {
@@ -331,7 +425,6 @@ struct Candidate {
 /// (consolidation), then lower node id (determinism).
 fn best_slot(
     state: &State<'_>,
-    pos: usize,
     topology: TopologyId,
     load: Mhz,
     cap_count: usize,
@@ -350,7 +443,7 @@ fn best_slot(
         if !state.node_feasible(node.id, load, cap_count, strictness) {
             continue;
         }
-        let cost = state.placement_cost(pos, node.id);
+        let cost = state.placement_cost(node.id);
         let fresh_node = state.node_count[node.id.as_usize()] == 0;
         let key = (cost, fresh_node, node.id);
         let replace = match &best {
@@ -903,6 +996,36 @@ mod tests {
         }
         // Every irregularity occurs in some case.
         assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
+    }
+
+    /// A turn adds its placed neighbours' traffic by their placement
+    /// rank, as updating each neighbour at each placement did, not by
+    /// matrix index. Executors 0 and 1 send 1.0 each to 3, and 2 sends
+    /// it 1e16; traffic to the outside executor 9 ranks them 2, 0, 1, 3,
+    /// and a cap of one per node puts 3 alone on the last node. Its
+    /// delta is `(1e16 + 1) + 1`, which is `1e16`, where the matrix's
+    /// order would give `(1 + 1) + 1e16`.
+    #[test]
+    fn placed_traffic_is_added_in_placement_order() {
+        let cluster = ClusterSpec::homogeneous(4, 1, Mhz::new(4000.0)).unwrap();
+        let executors = (0..4).map(|i| exec(i, 0, 10.0)).collect();
+        let rates = [(0, 3, 1.0), (1, 3, 1.0), (2, 3, 1e16)];
+        let outside = [(0, 9, 2e17), (1, 9, 1e17), (2, 9, 3e17)];
+        let traffic = rates.into_iter().chain(outside);
+        let traffic = traffic.map(|(f, t, r)| (e(f), e(t), r)).collect();
+        let params = SchedParams::default().with_gamma(1.0);
+        let input = SchedulingInput::new(cluster, executors, traffic, params);
+        let mut s = TStormScheduler::new();
+        s.set_explain(true);
+        s.schedule(&input).expect("feasible");
+        let ex = s.take_explanation().expect("explanation recorded");
+        let placed: Vec<ExecutorId> = ex.decisions.iter().map(|d| d.executor).collect();
+        assert_eq!(placed, [e(2), e(0), e(1), e(3)]);
+        let (_, _, decisions) = scan_solve(&input);
+        let delta = ex.decisions[3].objective_delta;
+        assert_eq!(delta.to_bits(), decisions[3].3.to_bits());
+        assert_eq!(delta.to_bits(), 1e16f64.to_bits());
+        assert_ne!(delta.to_bits(), ((1.0 + 1.0) + 1e16f64).to_bits());
     }
 
     #[test]

@@ -251,12 +251,14 @@ impl Simulation {
 
     /// The loss rule: where a tuple that will never be delivered is
     /// counted before it is lost ([`Simulation::lose_tuple`]). After a
-    /// fault, a tuple whose endpoint is `unplaced` was destroyed by a
-    /// crash that orphaned it ([`Simulation::tuples_lost`]); anything
-    /// else is routine relocation churn
-    /// ([`Simulation::dropped_in_flight`]).
+    /// fault, a tuple whose endpoint is `unplaced` while still alive was
+    /// destroyed by a crash that orphaned it
+    /// ([`Simulation::tuples_lost`]); anything else, a killed topology's
+    /// traffic included, is routine churn
+    /// ([`Simulation::dropped_in_flight`]). Both endpoints belong to one
+    /// topology, so a kill unplaced the destination too.
     pub(super) fn drop_undeliverable(&mut self, env: &Envelope, unplaced: bool) {
-        if unplaced && !self.faults.is_empty() {
+        if unplaced && !self.faults.is_empty() && self.executors[env.dst.as_usize()].alive {
             self.tuples_lost += 1;
         } else {
             self.dropped_in_flight += 1;

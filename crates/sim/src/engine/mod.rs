@@ -815,6 +815,66 @@ mod tests {
         }
     }
 
+    /// A message still in flight to a killed topology's executor is the
+    /// kill's drop, not a crash loss, even once a fault has fired
+    /// elsewhere: a crash of an empty slot at t=1 s moves neither count
+    /// of a chain killed from 30 s on, at the first 50 µs step that
+    /// finds a message between its two nodes.
+    #[test]
+    fn a_kill_counts_its_in_flight_drops_after_an_unrelated_fault() {
+        let counts = |crash_empty_slot: bool, kill_at: SimTime| {
+            let cluster = ClusterSpec::homogeneous(2, 2, Mhz::new(8000.0)).expect("valid cluster");
+            let topology = TopologyBuilder::new("chain")
+                .spout("src", 1, &["v"])
+                .bolt("b", 1, &["v"], &[("src", Grouping::Shuffle)])
+                .num_ackers(1)
+                .num_workers(2)
+                .build()
+                .expect("valid topology");
+            let mut sim = Simulation::new(cluster, SimConfig::default());
+            let handle = sim.submit_topology(&topology, &mut |spec, _| {
+                if spec.kind() == ComponentKind::Spout {
+                    ExecutorLogic::spout(ConstSpout::new("payload"))
+                } else {
+                    ExecutorLogic::bolt(IdentityBolt::new())
+                }
+            });
+            // The spout in node 0's first slot; the bolt and the acker
+            // in node 1's.
+            let placed: Assignment = sim
+                .executor_descriptors()
+                .into_iter()
+                .map(|d| {
+                    (
+                        d.id,
+                        SlotId::new(if d.component.as_usize() == 0 { 0 } else { 2 }),
+                    )
+                })
+                .collect();
+            sim.apply_assignment(&placed);
+            if crash_empty_slot {
+                let plan = FaultPlan::from_specs(["worker-crash@t=1,node=0,slot=1"]);
+                let plan = plan.expect("valid plan");
+                sim.apply_fault_plan(&plan).expect("plan fits the cluster");
+            }
+            sim.run_until(kill_at);
+            sim.kill_topology(handle.id);
+            let at_kill = sim.dropped_in_flight();
+            sim.run_until(kill_at + SimTime::from_secs(1));
+            (sim.tuples_lost(), at_kill, sim.dropped_in_flight())
+        };
+        let kill_at = (0..200)
+            .map(|k| SimTime::from_secs(30) + SimTime::from_micros(50 * k))
+            .find(|&t| {
+                let (_, at_kill, dropped) = counts(false, t);
+                dropped > at_kill
+            })
+            .expect("a message in flight within 10 ms");
+        let (lost, at_kill, dropped) = counts(false, kill_at);
+        assert_eq!(lost, 0);
+        assert_eq!(counts(true, kill_at), (lost, at_kill, dropped));
+    }
+
     /// From `b2`'s crash on, every root loses a tuple on the way to
     /// `b2`: each holds no span step, and none completes.
     #[test]
