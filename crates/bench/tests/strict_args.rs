@@ -286,16 +286,21 @@ fn inspect_renders_v1_recordings_that_carry_a_lanes_line() {
         "== traffic heatmap",
         "== rebalance timeline ==",
         "== windows ==",
+        "== decisions ==",
     ] {
         assert!(stdout.contains(header), "missing `{header}`: {stdout}");
     }
     assert!(stdout.contains("800 roots"), "{stdout}");
     assert!(
+        stdout.contains("epoch 0 @ 0.0s (20 placements):"),
+        "{stdout}"
+    );
+    assert!(
         !stdout.contains("lane"),
         "no lane section any more: {stdout}"
     );
 
-    for section in ["breakdown", "heatmap", "timeline", "windows"] {
+    for section in ["breakdown", "heatmap", "timeline", "windows", "decisions"] {
         let out = run(
             env!("CARGO_BIN_EXE_inspect"),
             &[fixture, "--section", section],

@@ -110,17 +110,14 @@ pub struct RunOptions {
     /// Suppress the per-window table (summary only).
     pub quiet: bool,
     /// Print engine hot-path statistics (envelope-pool hit rate, event
-    /// queue high-water mark, allocations avoided) after the run.
+    /// queue high-water mark, clock inversions, pair state) after the
+    /// run.
     pub engine_stats: bool,
-    /// Collect per-tuple span trees and print the critical-path
-    /// latency breakdown after the run.
-    pub spans: bool,
     /// Stream a flight recording (windowed cluster state, scheduler
-    /// decisions, control events, critical-path summary) to this path.
-    /// Implies `--spans`.
+    /// decision records, control events, critical-path summary) to this
+    /// path. Collects per-tuple span trees and decision records for it;
+    /// `inspect` renders the recording.
     pub flight_recorder: Option<String>,
-    /// Record and print the scheduler's per-placement decision records.
-    pub explain: bool,
     /// Large-cluster preset; overrides topology/nodes/slots with a
     /// heterogeneous scale scenario.
     pub scale: Option<ScaleClass>,
@@ -150,9 +147,7 @@ impl Default for RunOptions {
             fetch_jitter: 0.2,
             quiet: false,
             engine_stats: false,
-            spans: false,
             flight_recorder: None,
-            explain: false,
             scale: None,
         }
     }
@@ -224,12 +219,10 @@ OPTIONS (run/compare):
     --fetch-jitter F   per-node fetch/heartbeat jitter in [0,1)  [0.2]
     --quiet            summary only
     --engine-stats     print engine hot-path statistics after the run
-    --spans            collect span trees; print the critical-path
-                       latency breakdown after the run
     --flight-recorder PATH  stream a flight recording (JSONL) of the
-                       run; implies --spans. Render it with `inspect`
+                       run: windows, scheduler decisions, control
+                       events, critical path. Render it with `inspect`
                        (run only)
-    --explain          record and print scheduler decision records
     --scale scale-100|scale-500  large-cluster preset: heterogeneous
                        CPU (4/8/16 GHz classes) and NIC (1/10 Gbps)
                        nodes with a wide chain topology of 10k+
@@ -380,12 +373,7 @@ where
             }
             "--quiet" => opts.quiet = true,
             "--engine-stats" => opts.engine_stats = true,
-            "--spans" => opts.spans = true,
-            "--flight-recorder" => {
-                opts.flight_recorder = Some(value(flag)?);
-                opts.spans = true;
-            }
-            "--explain" => opts.explain = true,
+            "--flight-recorder" => opts.flight_recorder = Some(value(flag)?),
             "--scale" => {
                 let spec = value(flag)?;
                 opts.scale = Some(ScaleClass::parse(&spec).map_err(|tok| {
@@ -682,25 +670,20 @@ mod tests {
 
     #[test]
     fn parses_span_and_recorder_flags() {
-        let Command::Run(o) = parse(args("run --spans --explain --engine-stats")).unwrap() else {
-            panic!("expected run");
-        };
-        assert!(o.spans);
-        assert!(o.explain);
-        assert!(o.engine_stats);
-        assert!(o.flight_recorder.is_none());
-
         let Command::Run(o) = parse(args("run --flight-recorder run.jsonl")).unwrap() else {
             panic!("expected run");
         };
         assert_eq!(o.flight_recorder.as_deref(), Some("run.jsonl"));
-        assert!(o.spans, "--flight-recorder implies --spans");
 
         assert!(parse(args("run --flight-recorder")).is_err());
+        for retired in ["--spans", "--explain"] {
+            let err = parse(vec!["run", retired]).unwrap_err();
+            assert_eq!(err.0, format!("unknown flag `{retired}`"));
+        }
 
         let Command::Run(o) = parse(args("run")).unwrap() else {
             panic!("expected run");
         };
-        assert!(!o.spans && !o.explain && !o.engine_stats);
+        assert!(o.flight_recorder.is_none() && !o.engine_stats);
     }
 }

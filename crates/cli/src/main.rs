@@ -45,12 +45,6 @@ fn main() -> ExitCode {
                 if opts.engine_stats {
                     println!("{}", outcome.engine_summary());
                 }
-                if let Some(spans) = &outcome.spans_summary {
-                    print!("{spans}");
-                }
-                if let Some(explanations) = &outcome.explanations {
-                    print!("{explanations}");
-                }
                 if let Some(path) = &opts.csv {
                     if let Err(e) = std::fs::write(path, outcome.report.render_csv()) {
                         eprintln!("error: writing {path}: {e}");
@@ -96,12 +90,6 @@ fn main() -> ExitCode {
             if opts.engine_stats {
                 println!("Storm   {}", storm.engine_summary());
                 println!("T-Storm {}", tstorm.engine_summary());
-            }
-            if let Some(spans) = &tstorm.spans_summary {
-                print!("T-Storm {spans}");
-            }
-            if let Some(explanations) = &tstorm.explanations {
-                print!("{explanations}");
             }
             let stable = SimTime::from_secs(opts.duration_secs / 2);
             if let Some(row) = ComparisonRow::from_reports(

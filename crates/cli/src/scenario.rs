@@ -124,13 +124,10 @@ pub struct ScenarioOutcome {
     /// Control-plane counters (heartbeats, fetches, epochs, death
     /// declarations, false positives).
     pub control: tstorm_core::ControlStats,
-    /// Critical-path summary tables (`--spans`).
-    pub spans_summary: Option<String>,
-    /// Critical-path grand totals (`--spans`), with the count of roots
-    /// whose path did not sum to their latency, which the tables omit.
+    /// Critical-path grand totals (`--flight-recorder`), with the count
+    /// of roots whose path did not sum to their latency, which the
+    /// recording omits.
     pub span_totals: Option<tstorm_trace::PathTotals>,
-    /// Rendered scheduler decision records (`--explain`).
-    pub explanations: Option<String>,
     /// Lines the flight recorder wrote (`--flight-recorder`).
     pub recorder_lines: Option<u64>,
 }
@@ -169,16 +166,11 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
         create_up_front("--prom", path)?;
         system.sample_gauges();
     }
-    if opts.spans {
-        system.enable_spans();
-    }
-    // A recording is a complete black box: capture decision records
-    // whenever a recorder is attached; `--explain` only controls
-    // whether they are also printed.
-    if opts.explain || opts.flight_recorder.is_some() {
-        system.set_explain(true);
-    }
     if let Some(path) = &opts.flight_recorder {
+        // A recording is a complete black box: it closes with the
+        // critical-path aggregates and holds every decision record.
+        system.enable_spans();
+        system.set_explain(true);
         let file = File::create(path).map_err(|e| {
             TStormError::invalid_config("--flight-recorder", format!("cannot create {path}: {e}"))
         })?;
@@ -286,31 +278,9 @@ pub fn run_scenario(opts: &RunOptions) -> Result<ScenarioOutcome> {
         timeline: system.timeline().to_vec(),
         engine: system.simulation().engine_stats(),
         control: system.control_stats(),
-        spans_summary: system
-            .simulation()
-            .spans()
-            .map(tstorm_trace::CriticalPathCollector::render_summary),
         span_totals: system.simulation().spans().map(|s| *s.totals()),
-        explanations: opts.explain.then(|| render_explanations(&system)),
         recorder_lines,
     })
-}
-
-/// Renders every captured scheduler decision record, epoch-stamped.
-fn render_explanations(system: &TStormSystem) -> String {
-    let mut out = String::new();
-    for (epoch, at, explanation) in system.explanations() {
-        out.push_str(&format!(
-            "epoch {epoch} @ {:.1}s ({} placements):\n{}",
-            at.as_micros() as f64 / 1e6,
-            explanation.decisions.len(),
-            explanation.render(),
-        ));
-    }
-    if out.is_empty() {
-        out.push_str("no scheduler decisions were recorded\n");
-    }
-    out
 }
 
 /// The trace writer `--trace` asks for, with its category filter and
@@ -391,7 +361,7 @@ impl ScenarioOutcome {
     pub fn engine_summary(&self) -> String {
         format!(
             "engine: pool hit-rate {:.1}% ({} hits, {} misses) | \
-             queue high-water {} | allocations avoided {} | clock inversions {} | \
+             queue high-water {} | clock inversions {} | \
              pair-state bytes {} ({} pairs observed)\n\
              control: heartbeats {} sent, {} missed | fetches {} | \
              epochs applied {} | declared dead {} | false-positive reassignments {}",
@@ -399,7 +369,6 @@ impl ScenarioOutcome {
             self.engine.pool_hits,
             self.engine.pool_misses,
             self.engine.queue_high_water,
-            self.engine.allocations_avoided(),
             self.engine.clock_inversions,
             self.engine.pair_state_bytes,
             self.engine.pairs_observed,
@@ -452,7 +421,6 @@ mod tests {
             "envelopes were sent, so the pool must have been exercised"
         );
         assert!(outcome.engine.queue_high_water > 0);
-        assert!(outcome.engine.payload_clones_avoided > 0);
         assert_eq!(
             outcome.engine.clock_inversions, 0,
             "a healthy run never produces an out-of-order span timestamp pair"

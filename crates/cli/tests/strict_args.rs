@@ -26,6 +26,11 @@ const MALFORMED: &[(&[&str], &str)] = &[
         &["run", "--engine-stats-json"],
         "unknown flag `--engine-stats-json`",
     ),
+    // A flight recording holds the critical path and the decision
+    // records; `inspect` renders them.
+    (&["run", "--spans"], "unknown flag `--spans`"),
+    (&["run", "--explain"], "unknown flag `--explain`"),
+    (&["compare", "--explain"], "unknown flag `--explain`"),
     (&["run", "--rate"], "requires a value"),
     (&["run", "--rate", "fast"], "`fast` is not a number"),
     // A non-positive or non-finite rate would panic in the Redis

@@ -113,10 +113,6 @@ pub struct TStormSystem {
     /// asked for it.
     node_cpu_sample: Option<Vec<f64>>,
     timeline: Vec<ControlEvent>,
-    /// Every explanation captured this run: (store epoch, when,
-    /// records). Epoch 0 marks schedules that bypassed the store (the
-    /// initial assignment, plain-Storm rewrites).
-    explanations: Vec<(u64, SimTime, ScheduleExplanation)>,
     /// The run flight recorder, when attached.
     recorder: Option<FlightRecorder<Box<dyn std::io::Write + Send>>>,
     /// Timeline events already streamed to the recorder as `control`
@@ -190,7 +186,6 @@ impl TStormSystem {
             solve_times: BTreeMap::new(),
             node_cpu_sample: None,
             timeline: Vec::new(),
-            explanations: Vec::new(),
             recorder: None,
             recorded_timeline: 0,
             cluster,
@@ -223,18 +218,13 @@ impl TStormSystem {
 
     /// Turns scheduler decision recording on or off. When on, every
     /// schedule call — generation, initial assignment, rebalance,
-    /// recovery — captures a [`ScheduleExplanation`], retrievable via
-    /// [`TStormSystem::explanations`].
+    /// recovery — captures a [`ScheduleExplanation`], which the flight
+    /// recorder, when attached, writes as one `decision` line stamped
+    /// with its store epoch (0 for schedules that bypassed the store:
+    /// the initial assignment, plain-Storm rewrites). Nothing keeps it
+    /// after that.
     pub fn set_explain(&mut self, on: bool) {
         self.nimbus.set_explain(on);
-    }
-
-    /// Every scheduler explanation captured so far, as (store epoch,
-    /// virtual time, records). Epoch 0 marks schedules that bypassed
-    /// the store (the initial assignment, plain-Storm rewrites).
-    #[must_use]
-    pub fn explanations(&self) -> &[(u64, SimTime, ScheduleExplanation)] {
-        &self.explanations
     }
 
     /// Attaches a flight recorder. The caller writes the leading `meta`
@@ -285,26 +275,22 @@ impl TStormSystem {
         self.recorded_timeline = self.timeline.len();
     }
 
-    /// Keeps a scheduler's decision records (when explain is on), stamped
-    /// with `epoch`, and streams them to the recorder.
+    /// Streams a scheduler's decision records (when explain is on),
+    /// stamped with `epoch`, to the recorder, and drops them.
     fn record_explanation(&mut self, epoch: u64, explanation: Option<ScheduleExplanation>) {
-        let Some(explanation) = explanation else {
+        let (Some(explanation), Some(recorder)) = (explanation, self.recorder.as_mut()) else {
             return;
         };
-        let at = self.sim.now();
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.line("decision", at, |o| {
-                o.u64("epoch", epoch)
-                    .str("algorithm", &explanation.algorithm)
-                    .f64("objective", explanation.total_objective())
-                    .raw(
-                        "notes",
-                        &array(&explanation.notes, |out, s| write_escaped(out, s)),
-                    )
-                    .raw("decisions", &decisions_json(&explanation));
-            });
-        }
-        self.explanations.push((epoch, at, explanation));
+        recorder.line("decision", self.sim.now(), |o| {
+            o.u64("epoch", epoch)
+                .str("algorithm", &explanation.algorithm)
+                .f64("objective", explanation.total_objective())
+                .raw(
+                    "notes",
+                    &array(&explanation.notes, |out, s| write_escaped(out, s)),
+                )
+                .raw("decisions", &decisions_json(&explanation));
+        });
     }
 
     /// One `window` recorder line: per-executor load estimates, per-node

@@ -7,9 +7,10 @@
 //! enabled (via [`crate::Scheduler::set_explain`]) every schedule call
 //! produces a [`ScheduleExplanation`]: one [`PlacementDecision`] per
 //! executor plus algorithm-level notes (relaxations, fallbacks,
-//! refinement gains). The control plane persists explanations alongside
-//! the published schedule so a recorded run can answer "why is executor
-//! 7 on node 2?" after the fact.
+//! refinement gains). The control plane writes each explanation to the
+//! run's flight recording as one `decision` line and keeps no copy, so
+//! a recorded run can answer "why is executor 7 on node 2?" after the
+//! fact; `inspect --section decisions` prints the placement tables.
 //!
 //! Recording is off by default and costs nothing when disabled; enabled
 //! recording touches no randomness or wall-clock time, so explanations
@@ -17,7 +18,6 @@
 
 use crate::problem::{Adjacency, Neighbour, RowTraffic, SchedulingInput};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 use tstorm_cluster::Assignment;
 use tstorm_types::{ExecutorId, NodeId, SlotId};
 
@@ -79,44 +79,6 @@ impl ScheduleExplanation {
             .map(|d| d.objective_delta)
             .sum::<f64>()
             + 0.0
-    }
-
-    /// A human-readable table of every decision, for `--explain`.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "schedule explanation: {} ({} placements, objective {:.1} tuples/s inter-node)",
-            self.algorithm,
-            self.decisions.len(),
-            self.total_objective()
-        );
-        for note in &self.notes {
-            let _ = writeln!(out, "  note: {note}");
-        }
-        let _ = writeln!(
-            out,
-            "  {:<10} {:>8} {:>8} {:>12} {:>12}  rationale",
-            "executor", "slot", "node", "load MHz", "obj delta"
-        );
-        for d in &self.decisions {
-            let mut rationale = d.tie_break.clone();
-            if let Some(r) = &d.relaxation {
-                let _ = write!(rationale, " [{r}]");
-            }
-            let _ = writeln!(
-                out,
-                "  {:<10} {:>8} {:>8} {:>12.1} {:>12.1}  {}",
-                d.executor.to_string(),
-                d.slot.to_string(),
-                d.node.to_string(),
-                d.load_mhz,
-                d.objective_delta,
-                rationale
-            );
-        }
-        out
     }
 }
 
@@ -215,27 +177,6 @@ mod tests {
         assert!((total - 40.0).abs() < 1e-9, "{total}");
         assert!((decisions[0].traffic_total - 100.0).abs() < 1e-9);
         assert!((decisions[0].load_mhz - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn render_lists_every_decision() {
-        let mut ex = ScheduleExplanation::new("t-storm");
-        ex.notes.push("cap relaxed once".to_owned());
-        ex.decisions.push(PlacementDecision {
-            executor: ExecutorId::new(3),
-            slot: SlotId::new(1),
-            node: NodeId::new(0),
-            load_mhz: 120.0,
-            traffic_total: 900.0,
-            objective_delta: 30.0,
-            tie_break: "min cost".to_owned(),
-            relaxation: Some("executor cap 2 relaxed".to_owned()),
-        });
-        let text = ex.render();
-        assert!(text.contains("t-storm"), "{text}");
-        assert!(text.contains("note: cap relaxed once"), "{text}");
-        assert!(text.contains("exec-3"), "{text}");
-        assert!(text.contains("[executor cap 2 relaxed]"), "{text}");
     }
 
     /// The per-executor scan over the whole matrix that

@@ -10,6 +10,8 @@
 //! - **Exposition** — [`Exposition`] writes counter, gauge and
 //!   histogram families in the Prometheus text format, each once, from
 //!   values the caller already holds.
+//! - **Flight recording** — [`FlightRecorder`] writes a run as JSON
+//!   Lines, [`parse_recording`] reads it back, and [`view`] renders it.
 //!
 //! The disabled observer ([`Observer::disabled`]) costs one pointer
 //! check per call site and constructs nothing, so an untraced simulation
@@ -42,6 +44,7 @@ pub mod json;
 pub mod observer;
 pub mod recorder;
 pub mod span;
+pub mod view;
 
 pub use event::{EventCategory, HopClass, TraceEvent};
 pub use exposition::{Exposition, MetricKind};

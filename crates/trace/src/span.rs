@@ -38,12 +38,12 @@
 //!
 //! Everything here is deterministic: aggregation is integer arithmetic
 //! over dense tables, and every table is sorted by label string, node
-//! pair or hop label when it is rendered, so same-seed runs render
-//! byte-identical summaries.
+//! pair or hop label when it is written, so same-seed runs write
+//! byte-identical summaries. The text views of a summary live in
+//! [`crate::view`], which reads it back from a recording.
 
 use crate::event::HopClass;
 use crate::json::{array, ObjectWriter};
-use std::fmt::Write as _;
 use tstorm_types::{ExecutorId, FxHashMap, NodeId, SimTime};
 
 /// What a span segment's time was spent on.
@@ -288,7 +288,7 @@ fn hop_slot(hop: Option<HopClass>) -> usize {
 /// runs. Labels are interned once into dense ids: components live in a
 /// `Vec` by label id and edges in one `Vec` indexed `from × labels +
 /// to`. The tables are sorted by label string, node pair and hop label
-/// only when they are rendered.
+/// only when they are written.
 #[derive(Debug, Default)]
 pub struct CriticalPathCollector {
     /// Interned label strings, indexed by label id. A topology has a
@@ -314,7 +314,7 @@ impl CriticalPathCollector {
     }
 
     /// Registers a display label (component name) for an executor.
-    /// Unlabelled executors render as `exec-N`.
+    /// Unlabelled executors are labelled `exec-N`.
     pub fn set_label(&mut self, executor: ExecutorId, label: &str) {
         let id = self.intern(label);
         self.set_label_id(executor, id);
@@ -547,111 +547,6 @@ impl CriticalPathCollector {
             .raw("hop_classes", &classes);
         o.finish()
     }
-
-    /// Human-readable summary tables for the CLI's `--spans` output.
-    #[must_use]
-    pub fn render_summary(&self) -> String {
-        let t = &self.totals;
-        let mut out = String::new();
-        if t.roots == 0 {
-            out.push_str("critical path: no completed roots observed\n");
-            return out;
-        }
-        let ms = |us: u64| us as f64 / 1e3;
-        let per_root = |us: u64| us as f64 / 1e3 / t.roots as f64;
-        let _ = writeln!(
-            out,
-            "critical path over {} roots (mean latency {:.3} ms, max {:.3} ms)",
-            t.roots,
-            per_root(t.latency_us),
-            ms(t.max_latency_us),
-        );
-        let measured = t.queue_us + t.service_us + t.network_us;
-        let pct = |us: u64| {
-            if measured == 0 {
-                0.0
-            } else {
-                100.0 * us as f64 / measured as f64
-            }
-        };
-        let _ = writeln!(
-            out,
-            "  queue {:.3} ms/root ({:.1}%)  service {:.3} ms/root ({:.1}%)  network {:.3} ms/root ({:.1}%)",
-            per_root(t.queue_us),
-            pct(t.queue_us),
-            per_root(t.service_us),
-            pct(t.service_us),
-            per_root(t.network_us),
-            pct(t.network_us),
-        );
-        if t.replayed_roots > 0 {
-            let _ = writeln!(
-                out,
-                "  {} replayed roots waited {:.3} ms total in the replay queue",
-                t.replayed_roots,
-                ms(t.replay_us),
-            );
-        }
-
-        let components = self.sorted_components();
-        if !components.is_empty() {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>10} {:>12} {:>12}",
-                "component", "segments", "queue(ms)", "service(ms)"
-            );
-            for (name, c) in components {
-                let _ = writeln!(
-                    out,
-                    "  {:<18} {:>10} {:>12.3} {:>12.3}",
-                    name,
-                    c.segments,
-                    ms(c.queue_us),
-                    ms(c.service_us),
-                );
-            }
-        }
-        let edges = self.sorted_edges();
-        if !edges.is_empty() {
-            let _ = writeln!(
-                out,
-                "  {:<24} {:>8} {:>12} {:>12}",
-                "edge", "hops", "network(ms)", "inter-node"
-            );
-            for (from, to, e) in edges {
-                let _ = writeln!(
-                    out,
-                    "  {:<24} {:>8} {:>12.3} {:>11.1}%",
-                    format!("{from}->{to}"),
-                    e.hops,
-                    ms(e.network_us),
-                    if e.hops == 0 {
-                        0.0
-                    } else {
-                        100.0 * e.inter_node_hops as f64 / e.hops as f64
-                    },
-                );
-            }
-        }
-        let hop_classes = self.sorted_hop_classes();
-        if !hop_classes.is_empty() {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>8} {:>12}",
-                "hop class", "hops", "network(ms)"
-            );
-            for (label, h) in hop_classes {
-                let _ = writeln!(
-                    out,
-                    "  {:<18} {:>8} {:>12.3}",
-                    label,
-                    h.hops,
-                    ms(h.network_us),
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -850,7 +745,7 @@ mod tests {
         assert!(!json.contains(r#""component":"spout""#), "{json}");
     }
 
-    /// A network segment with no hop class, which renders as `unknown`.
+    /// A network segment with no hop class, which is written as `unknown`.
     fn unclassified(from: ExecutorId, to: ExecutorId, node: NodeId, micros: u64) -> SpanSeg {
         SpanSeg {
             hop: None,
@@ -858,7 +753,7 @@ mod tests {
         }
     }
 
-    /// Tables render sorted by label string, node pair and hop label,
+    /// Tables are written sorted by label string, node pair and hop label,
     /// not in the order labels were registered or segments arrived.
     #[test]
     fn renders_sort_by_label_node_pair_and_hop_class() {
@@ -891,26 +786,9 @@ mod tests {
             c.to_json(),
             r#"{"roots":2,"replayed_roots":0,"latency_us":1300,"max_latency_us":1000,"queue_us":140,"service_us":460,"network_us":700,"replay_us":0,"dropped_breakdowns":0,"components":[{"component":"alpha","segments":3,"queue_us":40,"service_us":260},{"component":"zeta","segments":2,"queue_us":100,"service_us":200}],"edges":[{"from":"alpha","to":"zeta","hops":1,"network_us":100,"inter_node_hops":0},{"from":"zeta","to":"alpha","hops":2,"network_us":600,"inter_node_hops":1}],"node_pairs":[{"from":0,"to":0,"hops":1,"network_us":100},{"from":1,"to":1,"hops":1,"network_us":100},{"from":3,"to":1,"hops":1,"network_us":500}],"hop_classes":[{"class":"inter_node","hops":1,"network_us":500},{"class":"inter_process","hops":1,"network_us":100},{"class":"unknown","hops":1,"network_us":100}]}"#
         );
-        assert_eq!(
-            c.render_summary(),
-            concat!(
-                "critical path over 2 roots (mean latency 0.650 ms, max 1.000 ms)\n",
-                "  queue 0.070 ms/root (10.8%)  service 0.230 ms/root (35.4%)  network 0.350 ms/root (53.8%)\n",
-                "  component            segments    queue(ms)  service(ms)\n",
-                "  alpha                       3        0.040        0.260\n",
-                "  zeta                        2        0.100        0.200\n",
-                "  edge                         hops  network(ms)   inter-node\n",
-                "  alpha->zeta                     1        0.100         0.0%\n",
-                "  zeta->alpha                     2        0.600        50.0%\n",
-                "  hop class              hops  network(ms)\n",
-                "  inter_node                1        0.500\n",
-                "  inter_process             1        0.100\n",
-                "  unknown                   1        0.100\n",
-            )
-        );
     }
 
-    /// Unlabelled executors render as `exec-N` and sort as strings, so
+    /// Unlabelled executors are labelled `exec-N` and sort as strings, so
     /// `exec-10` precedes `exec-9`.
     #[test]
     fn unlabelled_executors_sort_as_strings() {
@@ -928,20 +806,6 @@ mod tests {
         assert_eq!(
             c.to_json(),
             r#"{"roots":1,"replayed_roots":0,"latency_us":70,"max_latency_us":70,"queue_us":0,"service_us":50,"network_us":20,"replay_us":0,"dropped_breakdowns":0,"components":[{"component":"exec-10","segments":1,"queue_us":0,"service_us":40},{"component":"exec-9","segments":1,"queue_us":0,"service_us":10}],"edges":[{"from":"exec-9","to":"exec-10","hops":1,"network_us":20,"inter_node_hops":0}],"node_pairs":[{"from":0,"to":0,"hops":1,"network_us":20}],"hop_classes":[{"class":"intra_worker","hops":1,"network_us":20}]}"#
-        );
-        assert_eq!(
-            c.render_summary(),
-            concat!(
-                "critical path over 1 roots (mean latency 0.070 ms, max 0.070 ms)\n",
-                "  queue 0.000 ms/root (0.0%)  service 0.050 ms/root (71.4%)  network 0.020 ms/root (28.6%)\n",
-                "  component            segments    queue(ms)  service(ms)\n",
-                "  exec-10                     1        0.000        0.040\n",
-                "  exec-9                      1        0.000        0.010\n",
-                "  edge                         hops  network(ms)   inter-node\n",
-                "  exec-9->exec-10                 1        0.020         0.0%\n",
-                "  hop class              hops  network(ms)\n",
-                "  intra_worker              1        0.020\n",
-            )
         );
     }
 
@@ -968,22 +832,6 @@ mod tests {
             c.to_json(),
             r#"{"roots":1,"replayed_roots":0,"latency_us":100,"max_latency_us":100,"queue_us":0,"service_us":55,"network_us":45,"replay_us":0,"dropped_breakdowns":0,"components":[{"component":"count","segments":1,"queue_us":0,"service_us":25},{"component":"split","segments":2,"queue_us":0,"service_us":30}],"edges":[{"from":"split","to":"count","hops":1,"network_us":15,"inter_node_hops":0},{"from":"split","to":"split","hops":1,"network_us":30,"inter_node_hops":1}],"node_pairs":[{"from":0,"to":1,"hops":1,"network_us":30},{"from":1,"to":1,"hops":1,"network_us":15}],"hop_classes":[{"class":"inter_node","hops":1,"network_us":30},{"class":"intra_worker","hops":1,"network_us":15}]}"#
         );
-        assert_eq!(
-            c.render_summary(),
-            concat!(
-                "critical path over 1 roots (mean latency 0.100 ms, max 0.100 ms)\n",
-                "  queue 0.000 ms/root (0.0%)  service 0.055 ms/root (55.0%)  network 0.045 ms/root (45.0%)\n",
-                "  component            segments    queue(ms)  service(ms)\n",
-                "  count                       1        0.000        0.025\n",
-                "  split                       2        0.000        0.030\n",
-                "  edge                         hops  network(ms)   inter-node\n",
-                "  split->count                    1        0.015         0.0%\n",
-                "  split->split                    1        0.030       100.0%\n",
-                "  hop class              hops  network(ms)\n",
-                "  inter_node                1        0.030\n",
-                "  intra_worker              1        0.015\n",
-            )
-        );
     }
 
     /// Roots past the first 2^18 count as `dropped_breakdowns`; the
@@ -1004,7 +852,6 @@ mod tests {
     fn empty_collector_summary() {
         let c = CriticalPathCollector::new();
         assert!(c.is_empty());
-        assert!(c.render_summary().contains("no completed roots"));
         assert!(parse(&c.to_json()).is_some());
     }
 }
