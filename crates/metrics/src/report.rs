@@ -24,8 +24,6 @@ pub struct RunReport {
     pub failed: WindowedCounter,
     /// Number of worker nodes in use over time.
     pub nodes_used: StepSeries<u32>,
-    /// Number of workers (occupied slots) in use over time.
-    pub workers_used: StepSeries<u32>,
     /// Completed (fully acked) tuple count.
     pub completed: u64,
     /// Tuples emitted by spouts (including replays).
@@ -51,7 +49,6 @@ impl RunReport {
             latency_hist: LogHistogram::new(),
             failed: WindowedCounter::new(crate::ONE_MINUTE),
             nodes_used: StepSeries::new(),
-            workers_used: StepSeries::new(),
             completed: 0,
             emitted: 0,
             replays: 0,

@@ -21,8 +21,7 @@
 //! have a certain degree of complexity, the default scheduler was invoked
 //! instead". We reproduce that behaviour: when a topology has no recorded
 //! traffic (e.g. right after submission), the online scheduler falls back
-//! to the default round-robin for that scheduling round. The fallback can
-//! be disabled with [`AnielloOnlineScheduler::without_fallback`].
+//! to the default round-robin for that scheduling round.
 //!
 //! Neither scheduler keeps state between calls apart from its explain
 //! flag: every call solves its input from scratch.
@@ -156,9 +155,8 @@ impl Scheduler for AnielloOfflineScheduler {
 /// Both phases are *load-oblivious*: they read only the traffic matrix,
 /// the executor/topology structure and the cluster's slots. Every
 /// [`Scheduler::schedule`] call runs both phases from scratch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnielloOnlineScheduler {
-    fallback_to_default: bool,
     explain: bool,
     explanation: Option<ScheduleExplanation>,
 }
@@ -168,25 +166,7 @@ impl AnielloOnlineScheduler {
     /// module docs).
     #[must_use]
     pub fn new() -> Self {
-        Self {
-            fallback_to_default: true,
-            explain: false,
-            explanation: None,
-        }
-    }
-
-    /// Disables the fall-back-to-default quirk; topologies without traffic
-    /// are packed by executor order instead.
-    #[must_use]
-    pub fn without_fallback(mut self) -> Self {
-        self.fallback_to_default = false;
-        self
-    }
-}
-
-impl Default for AnielloOnlineScheduler {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -207,7 +187,7 @@ impl Scheduler for AnielloOnlineScheduler {
         self.explanation = None;
         // Reproduced quirk: with no traffic data at all, the original
         // implementation used Storm's default scheduler.
-        if self.fallback_to_default && input.traffic.is_empty() {
+        if input.traffic.is_empty() {
             let mut fallback = RoundRobinScheduler::storm_default();
             let assignment = fallback.schedule(input)?;
             if self.explain {
@@ -640,10 +620,6 @@ mod tests {
         let a = s.schedule(&input).expect("feasible");
         // Default round-robin spreads workers over both nodes.
         assert_eq!(a.nodes_used(&input.cluster).len(), 2);
-        // And the non-fallback variant still schedules.
-        let mut s2 = AnielloOnlineScheduler::new().without_fallback();
-        let a2 = s2.schedule(&input).expect("feasible");
-        assert_eq!(a2.len(), 4);
     }
 
     #[test]

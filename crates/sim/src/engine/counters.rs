@@ -295,10 +295,6 @@ pub struct EngineStats {
     pub pool_hits: u64,
     /// Transfer boxes that had to be freshly allocated.
     pub pool_misses: u64,
-    /// Payload copies avoided by the engine's payload store — one per
-    /// routed data envelope, which holds its emit's one stored payload
-    /// where it once cloned the full value vector.
-    pub payload_clones_avoided: u64,
     /// Largest number of events ever pending in the event queue.
     pub queue_high_water: u64,
     /// Span-duration subtractions whose end preceded their start. Always
@@ -328,13 +324,6 @@ impl EngineStats {
             self.pool_hits as f64 / total as f64
         }
     }
-
-    /// Heap allocations avoided on the tuple hot path: pooled envelope
-    /// boxes plus payload copies replaced by holder counts.
-    #[must_use]
-    pub fn allocations_avoided(&self) -> u64 {
-        self.pool_hits + self.payload_clones_avoided
-    }
 }
 
 impl Simulation {
@@ -362,7 +351,6 @@ impl Simulation {
         EngineStats {
             pool_hits: self.pool_hits,
             pool_misses: self.pool_misses,
-            payload_clones_avoided: self.payload_clones_avoided,
             queue_high_water: self.queue.high_water() as u64,
             clock_inversions: self.clock_inversions,
             pair_state_bytes: self

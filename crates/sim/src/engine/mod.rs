@@ -222,7 +222,6 @@ pub struct Simulation {
     task_scratch: Vec<u32>,
     pool_hits: u64,
     pool_misses: u64,
-    payload_clones_avoided: u64,
     /// Span subtractions whose end preceded their start (see
     /// [`EngineStats::clock_inversions`]).
     clock_inversions: u64,
@@ -355,7 +354,6 @@ impl Simulation {
             task_scratch: Vec::new(),
             pool_hits: 0,
             pool_misses: 0,
-            payload_clones_avoided: 0,
             clock_inversions: 0,
             current: Assignment::new(),
             pending: None,

@@ -323,8 +323,6 @@ impl Simulation {
 
     pub(super) fn record_usage(&mut self) {
         let nodes = self.workers_on_node.iter().filter(|w| **w > 0).count() as u32;
-        let workers: u32 = self.workers_on_node.iter().sum();
         self.report.nodes_used.record(self.clock, nodes);
-        self.report.workers_used.record(self.clock, workers);
     }
 }

@@ -119,7 +119,6 @@ impl Simulation {
                     self.next_edge += 1;
                     xor ^= edge_id;
                     count += 1;
-                    self.payload_clones_avoided += 1;
                     self.payloads.hold(payload);
                     let env = Envelope {
                         payload,
